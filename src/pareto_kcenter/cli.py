@@ -180,7 +180,7 @@ def cmd_gen(args) -> int:
 def cmd_skyline(args) -> int:
     P = _load(args.input)
     algo = args.algo
-    if algo == "slow":
+    if algo == "sort":
         sky = slow_skyline(P).pts
     elif algo == "optimal":
         sky = skyline_optimal(P).pts
@@ -218,7 +218,7 @@ def cmd_decide(args) -> int:
         kappa = min(max(kappa, 1), len(P))
         out = decide_grouped(build(P, kappa), args.k, lam_sq)
     else:
-        out = decide_materialized(skyline_optimal(P), args.k, lam_sq)
+        out = decide_materialized(slow_skyline(P), args.k, lam_sq)
     if out.feasible:
         print("FEASIBLE")
         write_points(out.centers, sys.stdout)
@@ -237,7 +237,7 @@ def cmd_solve(args) -> int:
     tag, lam_sq, centers = _run_solver(P, args.k, args.method)
     elapsed_ms = (time.perf_counter() - started) * 1e3
     snap = counters.snapshot()
-    report = RunReport(tag, len(P), len(skyline_optimal(P)), args.k,
+    report = RunReport(tag, len(P), len(slow_skyline(P)), args.k,
                        lam_sq, tuple(centers), elapsed_ms, snap)
     if args.json:
         print(json.dumps(report.to_json_obj(), sort_keys=True))
@@ -273,7 +273,7 @@ def _bench_once(P: PointSet, k: int, method: str):
         payload = (centers, lam_sq)
     elapsed = time.perf_counter() - started
     snap = counters.snapshot()  # before the h recomputation below
-    h = len(brute_skyline(P)) if len(P) <= 2000 else len(skyline_optimal(P))
+    h = len(slow_skyline(P))
     return h, elapsed, snap, _digest(payload[0], payload[1])
 
 
@@ -330,7 +330,7 @@ def cmd_plot(args) -> int:
         print("error: k must be >= 1", file=sys.stderr)
         return EXIT_INPUT
     tag, lam_sq, centers = _run_solver(P, args.k, args.method)
-    sky = skyline_optimal(P)
+    sky = slow_skyline(P)
     doc = render_svg(P, sky, centers, math.sqrt(lam_sq))
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -360,8 +360,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("skyline", help="compute the skyline of a point file")
     p.add_argument("input")
-    p.add_argument("--algo", default="optimal",
-                   help="slow | bounded:<s> | optimal | brute")
+    p.add_argument("--algo", default="sort",
+                   help="sort (production) | bounded:<s> | optimal "
+                        "(the paper's O(n log h) route) | brute")
     p.set_defaults(func=cmd_skyline)
 
     p = sub.add_parser("decide", help="is opt(P,k) <= lambda?")

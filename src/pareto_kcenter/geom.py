@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import EmptyInput
 
 LEFT = "left"
@@ -65,6 +67,31 @@ def cmp_perturbed_right(p: Point, q: Point) -> int:
     return (a > b) - (a < b)
 
 
+def first_occurrences(xy: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row of an (m, 2)
+    float array, in increasing order.
+
+    Rows are equal when both coordinates compare equal as floats, so 0.0
+    and -0.0 are one value.  Equal rows share x, so only rows whose x
+    occurs more than once (found by one unstable sort on x) need the
+    stable lexsort, which keeps equal rows in input order: the first row
+    of each run of equal neighbours is the first occurrence.
+    """
+    by_x = np.argsort(xy[:, 0])
+    sx = xy[by_x, 0]
+    tie = sx[1:] == sx[:-1]
+    shared = np.zeros(len(by_x), dtype=bool)
+    shared[1:] = tie
+    shared[:-1] |= tie
+    rows = np.sort(by_x[shared])
+    order = rows[np.lexsort((xy[rows, 1], xy[rows, 0]))]
+    s = xy[order]
+    repeat = (s[1:, 0] == s[:-1, 0]) & (s[1:, 1] == s[:-1, 1])
+    keep = np.ones(len(by_x), dtype=bool)
+    keep[order[1:][repeat]] = False
+    return np.flatnonzero(keep)
+
+
 class PointSet:
     """Input point set with exact coordinate duplicates removed.
 
@@ -72,19 +99,32 @@ class PointSet:
     dominance, so they are dropped at ingestion (first occurrence wins;
     input order is otherwise preserved, which fixes the grouping used by
     the partitioned algorithms).
+
+    Built from Points or from an (m, 2) float array of finite
+    coordinates; ``xy`` holds the kept coordinates as a read-only
+    float array, row i being ``points[i]``.
     """
 
-    __slots__ = ("points",)
+    __slots__ = ("points", "xy")
 
-    def __init__(self, points: Iterable[Point]):
-        seen = set()
-        kept = []
-        for p in points:
-            key = (p.x, p.y)
-            if key not in seen:
-                seen.add(key)
-                kept.append(p)
+    def __init__(self, points: Iterable[Point] | np.ndarray):
+        if isinstance(points, np.ndarray):
+            given = None
+            xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        else:
+            given = list(points)
+            xy = np.array([(p.x, p.y) for p in given],
+                          dtype=np.float64).reshape(-1, 2)
+        keep = first_occurrences(xy)
+        xy = xy[keep]
+        if given is None:
+            kept = [Point(x, y)
+                    for x, y in zip(xy[:, 0].tolist(), xy[:, 1].tolist())]
+        else:
+            kept = [given[i] for i in keep.tolist()]
+        xy.flags.writeable = False
         self.points: tuple[Point, ...] = tuple(kept)
+        self.xy: np.ndarray = xy
 
     @classmethod
     def from_coords(cls, coords: Iterable[tuple[float, float]]) -> "PointSet":

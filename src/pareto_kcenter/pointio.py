@@ -1,5 +1,8 @@
 """Point-file format: one point per line, two floats separated by
-whitespace; '#' starts a comment; blank lines are ignored.
+whitespace; '#' starts a comment; blank lines are ignored.  Files are
+UTF-8 text.  A file whose squared extent (max x - min x)^2 +
+(max y - min y)^2 overflows is refused, since no squared distance
+between its points could be computed.
 
 Coordinates are written with 17 significant digits, which round-trips
 64-bit floats exactly.
@@ -7,7 +10,11 @@ Coordinates are written with 17 significant digits, which round-trips
 
 from __future__ import annotations
 
+import math
+import warnings
 from typing import Iterable, TextIO
+
+import numpy as np
 
 from .geom import Point, PointSet
 
@@ -44,9 +51,40 @@ def parse_points(stream: Iterable[str]) -> list[Point]:
     return points
 
 
+def _load_columns(fh: TextIO) -> np.ndarray | None:
+    """The file's points as an (m, 2) float array, or None when numpy's
+    parser refuses the file or reads it as anything other than m rows of
+    two finite numbers.  Where it accepts, it agrees with parse_points;
+    every refused file is read again by parse_points."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xy = np.loadtxt(fh, comments="#", ndmin=2, dtype=np.float64)
+    except (ValueError, Warning):
+        return None
+    if xy.shape[1:] != (2,) or not np.isfinite(xy).all():
+        return None
+    return xy
+
+
 def read_point_file(path: str) -> PointSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return PointSet(parse_points(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            xy = _load_columns(fh)
+            if xy is not None:
+                P = PointSet(xy)
+            else:
+                fh.seek(0)
+                P = PointSet(parse_points(fh))
+    except UnicodeDecodeError as exc:
+        raise PointFileError(f"not UTF-8 text: {exc.reason}") from None
+    if len(P):
+        dx = float(P.xy[:, 0].max()) - float(P.xy[:, 0].min())
+        dy = float(P.xy[:, 1].max()) - float(P.xy[:, 1].min())
+        if not math.isfinite(dx * dx + dy * dy):
+            raise PointFileError("coordinate range too wide: the squared "
+                                 "extent overflows a 64-bit float")
+    return P
 
 
 def write_points(points: Iterable[Point], out: TextIO) -> None:

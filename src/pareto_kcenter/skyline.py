@@ -1,5 +1,6 @@
-"""Skyline construction: quadratic-sort baseline, size-bounded probe, and
-the output-sensitive driver that squares its guess until the probe fits.
+"""Skyline construction: the sort-and-scan production route, the
+size-bounded probe, and the output-sensitive driver that squares its guess
+until the probe fits (the paper's route, kept as the reference).
 """
 
 from __future__ import annotations
@@ -7,6 +8,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .geom import Point, PointSet, SkylineArray
 from .instrument import bisect_charge, counters, sort_charge
@@ -29,13 +32,23 @@ INCOMPLETE = BoundedResult(None)
 
 
 def slow_skyline(P: PointSet) -> SkylineArray:
-    """Sort lexicographically, then reverse-scan keeping running y-maxima."""
+    """Sort lexicographically, then keep each point whose y exceeds every
+    y after it (a reversed running maximum), all on P's coordinate
+    columns.  Charged as the sort plus one comparison per scanned point.
+    """
     P.require_nonempty()
-    return _scan_skyline(list(P.points))
+    n = len(P)
+    counters.add(CMP, sort_charge(n) + n - 1)
+    order = np.lexsort((P.xy[:, 1], P.xy[:, 0]))
+    ys = P.xy[order, 1]
+    keep = np.ones(n, dtype=bool)
+    keep[:-1] = ys[:-1] > np.maximum.accumulate(ys[::-1])[::-1][1:]
+    return SkylineArray([P.points[i] for i in order[keep].tolist()])
 
 
 def _scan_skyline(points: list[Point]) -> SkylineArray:
-    """The sort-and-scan pass on a raw list (also used for padded groups)."""
+    """The sort-and-scan pass on a raw list of points (the per-group
+    skylines of the bounded probe and the grouped structure)."""
     pts = sorted(points, key=lambda p: (p.x, p.y))
     counters.add(CMP, sort_charge(len(pts)) + max(0, len(pts) - 1))
     out = [pts[-1]]

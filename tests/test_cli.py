@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,30 @@ class TestSkylineCommand:
         path.write_text("# nothing here\n\n")
         code, _, _ = run_cli(capsys, "skyline", str(path))
         assert code == 2
+
+    def test_default_equals_brute_at_scale_1e17(self, capsys, tmp_path):
+        # Past 2^53 the paper route's padding points lose their margin:
+        # 1 + 1e17 == 1e17, so its right pad shares x with the rightmost
+        # point, the largest coordinate here.  The default route has none.
+        rng = random.Random(17)
+        path = tmp_path / "wide.txt"
+        path.write_text("".join(f"{rng.randint(0, 10**17 - 1)} "
+                                f"{rng.randint(0, 10**17 - 1)}\n"
+                                for _ in range(300)) + "1e17 5\n")
+        code, sort_out, _ = run_cli(capsys, "skyline", str(path))
+        assert code == 0
+        _, brute_out, _ = run_cli(capsys, "skyline", str(path),
+                                  "--algo", "brute")
+        assert sort_out == brute_out
+
+    def test_sort_is_the_default(self, capsys, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text("0 0\n2 1\n1 2\n1 1\n")
+        _, default_out, _ = run_cli(capsys, "skyline", str(path))
+        _, sort_out, _ = run_cli(capsys, "skyline", str(path), "--algo", "sort")
+        assert default_out == sort_out == "2\n1 2\n2 1\n"
+        code, _, err = run_cli(capsys, "skyline", str(path), "--algo", "slow")
+        assert code == 2 and "unknown algorithm" in err
 
 
 class TestDecideCommand:
@@ -230,6 +255,31 @@ class TestPlotCommand:
         run_cli(capsys, "plot", stair4, "--k", "2", "--out", str(a))
         run_cli(capsys, "plot", stair4, "--k", "2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestInputRejection:
+    def run_each(self, capsys, tmp_path, path):
+        """Every subcommand that reads a point file, on `path`."""
+        options = (["skyline"], ["decide", "--k", "1", "--lam", "1"],
+                   ["solve", "--k", "1"],
+                   ["plot", "--k", "1", "--out", str(tmp_path / "out.svg")])
+        return [run_cli(capsys, cmd, str(path), *rest)
+                for cmd, *rest in options]
+
+    def test_non_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"0 1\n\xff 2\n")
+        for code, out, err in self.run_each(capsys, tmp_path, path):
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "UTF-8" in err
+
+    def test_overflowing_extent_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("1e200 1\n-1e200 2\n")
+        for code, out, err in self.run_each(capsys, tmp_path, path):
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "range" in err
+        assert not (tmp_path / "out.svg").exists()
 
 
 class TestGoldenSnapshots:

@@ -1,7 +1,10 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pareto_kcenter.errors import EmptyInput
-from pareto_kcenter.geom import PointSet
+from pareto_kcenter.geom import Point, PointSet
 from pareto_kcenter.instances import fixed_skyline_fill
 from pareto_kcenter.instrument import counters
 from pareto_kcenter.oracle import brute_skyline
@@ -39,6 +42,31 @@ class TestSlowSkyline:
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             slow_skyline(PointSet([]))
+
+    def test_counter_charge(self):
+        P = PointSet.from_coords([(i, 9 - i) for i in range(10)])
+        counters.reset()
+        slow_skyline(P)
+        assert counters.get("skyline_comparisons") == 10 * 4 + 9
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1.0, 2.0 ** 53, 1e17, 1e150]),
+           st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40),
+                              st.integers(0, 3), st.integers(0, 3)),
+                    min_size=1, max_size=60))
+    def test_equals_brute_at_every_scale(self, scale, raw):
+        # Small integers times the scale, plus a few ulps: ties in x or y,
+        # duplicates and neighbours one ulp apart all occur.
+        pts = []
+        for a, b, da, db in raw:
+            x, y = a * scale, b * scale
+            for _ in range(da):
+                x = math.nextafter(x, math.inf)
+            for _ in range(db):
+                y = math.nextafter(y, -math.inf)
+            pts.append(Point(x, y))
+        P = PointSet(pts)
+        assert slow_skyline(P).pts == brute_skyline(P).pts
 
 
 class TestSkylineBounded:
