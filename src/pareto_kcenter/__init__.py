@@ -13,11 +13,9 @@ from .errors import (DegenerateSpan, EmptyInput, InstanceTooLarge,
                      InternalInvariantViolation, InvalidEpsilon, NotFound,
                      RankOutOfRange)
 from .exact import (SolveResult, SortedDistanceMatrix, matrix_select,
-                    multi_array_search, param_next_relevant, solve_parametric,
-                    solve_via_matrix)
+                    multi_array_search, solve_parametric, solve_via_matrix)
 from .geom import (AlphaCurve, LEFT, Point, PointSet, RIGHT_OR_BEYOND,
-                   SkylineArray, cmp_perturbed_high, cmp_perturbed_right,
-                   dist_sq, dominates, key_high, key_right, side_of_alpha)
+                   SkylineArray, dist_sq, dominates, side_of_alpha)
 from .grouped import (GroupedSkyline, build, next_on_skyline,
                       next_relevant_point, test_membership_and_prev)
 from .instances import GENERATORS, InstanceSpec, generate
@@ -39,11 +37,10 @@ __all__ = [
     "RankOutOfRange", "SkylineArray", "Slab", "SolveResult",
     "SortedDistanceMatrix", "approx_solve", "bisector_extremes",
     "brute_matrix_rank", "brute_opt", "brute_psi_sq", "brute_skyline",
-    "build", "cmp_perturbed_high", "cmp_perturbed_right", "counters",
-    "decide_grouped", "decide_materialized", "dist_sq", "dominates",
-    "generate", "gonzalez_2approx", "key_high", "key_right",
-    "matrix_select", "multi_array_search", "next_on_skyline",
-    "next_relevant_point", "param_next_relevant", "side_of_alpha",
+    "build", "counters", "decide_grouped", "decide_materialized", "dist_sq",
+    "dominates", "generate", "gonzalez_2approx", "matrix_select",
+    "multi_array_search", "next_on_skyline", "next_relevant_point",
+    "side_of_alpha",
     "skyline_bounded", "skyline_optimal", "slow_skyline",
     "solve_one_center", "solve_parametric", "solve_via_matrix",
     "test_membership_and_prev",

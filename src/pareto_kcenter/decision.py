@@ -74,18 +74,12 @@ def decide_materialized(S: SkylineArray, k: int, lambda_sq: float) -> DecisionOu
 
 def decide_grouped(G: GroupedSkyline, k: int, lambda_sq: float) -> DecisionOutcome:
     """Same verdict and same centers as decide_materialized on sky(P),
-    computed with at most 2k next-relevant-point queries.
-
-    For lambda >= lambda_max (above any real pairwise distance) the single
-    highest point trivially covers everything and is returned directly.
-    """
+    computed with at most 2k next-relevant-point queries."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if lambda_sq < 0:
         raise ValueError("lambda_sq must be >= 0")
     counters.add("decide_calls")
-    if lambda_sq >= G.lambda_max_sq:
-        return DecisionOutcome(True, (G.p0,), ((G.p0, G.p0, G.q0),))
     centers: list[Point] = []
     clusters: list[Cluster] = []
     left = G.p0
@@ -95,7 +89,7 @@ def decide_grouped(G: GroupedSkyline, k: int, lambda_sq: float) -> DecisionOutco
         centers.append(c)
         clusters.append((left, c, r))
         nxt = next_on_skyline(G, r.x)
-        if nxt.x == G.M:
+        if nxt is None:
             return DecisionOutcome(True, tuple(centers), tuple(clusters))
         left = nxt
     return INCOMPLETE

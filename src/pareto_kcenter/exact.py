@@ -160,6 +160,8 @@ def _solve_matrix_on_skyline(S: SkylineArray, k: int) -> SolveResult:
             lo = mid + 1
     lam = value(lo) + 0.0  # normalizes -0.0
     out = decide_materialized(S, k, lam)
+    if not out.feasible:
+        raise InternalInvariantViolation("selected radius is not feasible")
     return SolveResult(lam, out.centers, "matrix")
 
 
@@ -255,7 +257,7 @@ def _bracket_step(G: GroupedSkyline, p: Point,
         return p, 0.0
     if not decider(dist_sq(p, G.q0)):
         # lam* exceeds every suffix distance from p: the whole suffix is
-        # within reach and the step lands on the last real skyline point.
+        # within reach and the step lands on the last skyline point.
         return G.q0, None
     arrays = _suffix_arrays(G, p)
     s = multi_array_search(arrays, decider)
@@ -265,41 +267,6 @@ def _bracket_step(G: GroupedSkyline, p: Point,
         if i > 0 and arr[i - 1] > f:
             f = arr[i - 1]
     return next_relevant_point(G, p, f), s
-
-
-def param_next_relevant(G: GroupedSkyline, p: Point,
-                        decider: Callable[[float], bool]) -> Point:
-    """Next relevant point for the unknown optimal radius lam*.
-
-    `decider(lambda_sq)` must answer "opt <= lambda" monotonically.  The
-    suffix candidates of p bracket lam* between f (largest infeasible) and
-    s (smallest feasible); whether lam* == s is settled by bisecting the
-    decision over the open float interval (f, s), after which the step is
-    exact.  The extra bisection costs O(log(1/ulp)) ~ 60 decisions; the
-    solver's batched variant avoids it entirely.
-    """
-    if decider(0.0):
-        return p
-    if not decider(dist_sq(p, G.q0)):
-        return G.q0
-    arrays = _suffix_arrays(G, p)
-    s = multi_array_search(arrays, decider)
-    f = 0.0
-    for arr in arrays:
-        i = bisect_left(arr, s)
-        if i > 0 and arr[i - 1] > f:
-            f = arr[i - 1]
-    lo, hi = f, s
-    while True:
-        mid = lo + (hi - lo) / 2.0
-        if not lo < mid < hi:
-            break
-        if decider(mid):
-            hi = mid
-        else:
-            lo = mid
-    # hi is now the smallest feasible float in (f, s], i.e. lam* itself.
-    return next_relevant_point(G, p, s if hi == s else f)
 
 
 def solve_parametric(P: PointSet, k: int) -> SolveResult:
@@ -337,7 +304,7 @@ def solve_parametric(P: PointSet, k: int) -> SolveResult:
             if s is not None and (smallest_feasible is None or s < smallest_feasible):
                 smallest_feasible = s
         nxt = next_on_skyline(G, r.x)
-        if nxt.x == G.M:
+        if nxt is None:
             break
         left = nxt
     if smallest_feasible is None:

@@ -45,28 +45,6 @@ def dist_sq(p: Point, q: Point) -> float:
     return dx * dx + dy * dy
 
 
-def key_high(p: Point) -> tuple[float, float]:
-    """Sort key whose maximum is the highest point, ties toward larger x."""
-    return (p.y, p.x)
-
-
-def key_right(p: Point) -> tuple[float, float]:
-    """Sort key whose maximum is the rightmost point, ties toward larger y."""
-    return (p.x, p.y)
-
-
-def cmp_perturbed_high(p: Point, q: Point) -> int:
-    """Order by y, then x; -1/0/+1 like an old-style comparator."""
-    a, b = key_high(p), key_high(q)
-    return (a > b) - (a < b)
-
-
-def cmp_perturbed_right(p: Point, q: Point) -> int:
-    """Order by x, then y."""
-    a, b = key_right(p), key_right(q)
-    return (a > b) - (a < b)
-
-
 def first_occurrences(xy: np.ndarray) -> np.ndarray:
     """Indices of the first occurrence of each distinct row of an (m, 2)
     float array, in increasing order.
@@ -143,6 +121,14 @@ class PointSet:
     def require_nonempty(self) -> None:
         if not self.points:
             raise EmptyInput("point set is empty")
+
+
+def extremes(P: PointSet) -> tuple[Point, Point]:
+    """The two ends of sky(P): the highest point (ties toward larger x)
+    and the rightmost point (ties toward larger y)."""
+    p0 = max(P.points, key=lambda p: (p.y, p.x))
+    q0 = max(P.points, key=lambda p: (p.x, p.y))
+    return p0, q0
 
 
 class SkylineArray:

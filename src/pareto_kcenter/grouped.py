@@ -1,103 +1,121 @@
 """Global skyline queries over per-group skylines, without materializing
 the skyline itself.
 
-The point set is split into groups, each group gets the dummy extremes
-(-M, M) and (M, -M) appended, and each group's skyline is stored for
-binary searches.  Three queries are answered against this structure:
-next point on the global skyline, membership + predecessor, and the
-next relevant point (farthest skyline point right of p within a radius).
+The point set is split into contiguous input-order groups, and each
+group's skyline is stored for binary searches.  Three queries are
+answered against this structure: next point on the global skyline,
+membership + predecessor, and the next relevant point (farthest skyline
+point right of p within a radius).  The ends of the staircase are index
+bounds, not padding points: a query that runs past either end answers
+None.  The grouping pass and the next-point walk are shared with the
+bounded skyline probe.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 
 from .errors import InternalInvariantViolation
-from .geom import (LEFT, AlphaCurve, Point, PointSet, SkylineArray, dist_sq,
+from .geom import (LEFT, AlphaCurve, Point, PointSet, SkylineArray, extremes,
                    side_of_alpha)
-from .instrument import bisect_charge, counters
-from .skyline import _scan_skyline, split_groups
+from .instrument import bisect_charge, counters, sort_charge
 
 SEARCHES = "binary_searches"
 PROBES = "binary_search_probes"
+CMP = "skyline_comparisons"
 
 
 class GroupedSkyline:
     """Immutable after build; all queries are pure."""
 
-    __slots__ = ("groups", "t", "kappa", "M", "lambda_max", "lambda_max_sq",
-                 "p0", "q0", "lo_dummy", "hi_dummy", "n")
+    __slots__ = ("groups", "t", "kappa", "p0", "q0", "n")
 
-    def __init__(self, groups, kappa, M, lambda_max, p0, q0, n):
+    def __init__(self, groups, kappa, p0, q0, n):
         self.groups: list[SkylineArray] = groups
         self.t: int = len(groups)
         self.kappa: int = kappa
-        self.M: float = M
-        self.lambda_max: float = lambda_max
-        self.lambda_max_sq: float = lambda_max * lambda_max
         self.p0: Point = p0
         self.q0: Point = q0
-        self.lo_dummy = Point(-M, M)
-        self.hi_dummy = Point(M, -M)
         self.n = n
 
 
+def _scan_skyline(points: list[Point]) -> SkylineArray:
+    """The sort-and-scan pass on one group's points.
+
+    Charged as a group of m + 2 points: the paper pads each group with
+    two extreme points, and the counter gates are stated for that.
+    """
+    pts = sorted(points, key=lambda p: (p.x, p.y))
+    m = len(pts)
+    counters.add(CMP, sort_charge(m + 2) + m + 1)
+    out = [pts[-1]]
+    best_y = pts[-1].y
+    for i in range(m - 2, -1, -1):
+        if pts[i].y > best_y:
+            best_y = pts[i].y
+            out.append(pts[i])
+    out.reverse()
+    return SkylineArray(out)
+
+
+def group_skylines(points: tuple[Point, ...], size: int) -> list[SkylineArray]:
+    """Skylines of the contiguous input-order chunks of at most `size` points."""
+    return [_scan_skyline(points[i:i + size])
+            for i in range(0, len(points), size)]
+
+
+def leftmost_right_of(groups: list[SkylineArray], x0: float,
+                      inclusive: bool = False) -> tuple[Point | None, int]:
+    """Leftmost global-skyline point with x > x0 (x >= x0 if inclusive),
+    or None if there is none, and the probe charge of the searches.
+
+    Each group offers its first point past x0; the highest of those
+    (ties toward larger x) is the answer.
+    """
+    find = bisect_left if inclusive else bisect_right
+    best = None
+    probes = 0
+    for g in groups:
+        idx = find(g.xs, x0)
+        probes += bisect_charge(len(g) + 2)  # the paper's padded group
+        if idx < len(g) and (best is None
+                             or (g[idx].y, g[idx].x) > (best.y, best.x)):
+            best = g[idx]
+    return best, probes
+
+
 def build(P: PointSet, kappa: int) -> GroupedSkyline:
-    """Split P into ceil(n/kappa) dummy-padded groups with stored skylines."""
+    """Split P into ceil(n/kappa) groups with stored skylines."""
     P.require_nonempty()
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
-    p0 = max(P.points, key=lambda p: (p.y, p.x))
-    q0 = max(P.points, key=lambda p: (p.x, p.y))
-    lambda_max = 1.0 + math.sqrt(dist_sq(p0, q0))
-    maxcoord = max(max(abs(p.x), abs(p.y)) for p in P.points)
-    M = 2.0 * lambda_max + maxcoord
-    lo_dummy = Point(-M, M)
-    hi_dummy = Point(M, -M)
-    groups = []
-    for chunk in split_groups(P.points, kappa):
-        chunk.append(lo_dummy)
-        chunk.append(hi_dummy)
-        groups.append(_scan_skyline(chunk))
-    return GroupedSkyline(groups, kappa, M, lambda_max, p0, q0, len(P))
+    p0, q0 = extremes(P)
+    return GroupedSkyline(group_skylines(P.points, kappa), kappa, p0, q0,
+                          len(P))
 
 
-def next_on_skyline(G: GroupedSkyline, x0: float) -> Point:
-    """Leftmost global-skyline point strictly right of x0.
-
-    Returns the (M, -M) dummy once x0 passes the last real point.
-    """
-    best = None
-    best_key = None
+def next_on_skyline(G: GroupedSkyline, x0: float) -> Point | None:
+    """Leftmost global-skyline point strictly right of x0; None once x0
+    is at or past the last point."""
+    best, probes = leftmost_right_of(G.groups, x0)
     counters.add(SEARCHES, G.t)
-    for g in G.groups:
-        idx = bisect_right(g.xs, x0)
-        counters.add(PROBES, bisect_charge(len(g)))
-        if idx >= len(g):
-            continue
-        cand = g[idx]
-        key = (cand.y, cand.x)
-        if best_key is None or key > best_key:
-            best, best_key = cand, key
-    if best is None:
-        raise InternalInvariantViolation(f"no point right of x0={x0}")
+    counters.add(PROBES, probes)
     return best
 
 
 def _last_above(g: SkylineArray, y0: float) -> Point | None:
     """Rightmost group-skyline point with y > y0 (group ys are decreasing)."""
-    lo, hi = 0, len(g)
+    lo, hi = -1, len(g)  # g[lo].y > y0 >= g[hi].y, the ends virtual
     probes = 0
-    while lo < hi:
+    while hi - lo > 1:
         mid = (lo + hi) // 2
         probes += 1
         if g[mid].y > y0:
-            lo = mid + 1
+            lo = mid
         else:
             hi = mid
     counters.add(PROBES, probes)
-    return g[lo - 1] if lo > 0 else None
+    return g[lo] if lo >= 0 else None
 
 
 def test_membership_and_prev(G: GroupedSkyline, p: Point) -> tuple[bool, Point | None]:
@@ -105,35 +123,22 @@ def test_membership_and_prev(G: GroupedSkyline, p: Point) -> tuple[bool, Point |
 
     Two passes of per-group binary searches: an x-keyed pass locates the
     highest point at x >= x(p) (equal to p exactly when p is on the
-    skyline), then a y-keyed pass finds the predecessor.  The predecessor
-    of the leftmost real point is the (-M, M) dummy; None only for the
-    left dummy itself.
+    skyline), then a y-keyed pass finds the predecessor, which is None
+    for the leftmost point.
     """
     counters.add(SEARCHES, 2 * G.t)
-    best = None
-    best_key = None
-    for g in G.groups:
-        idx = bisect_left(g.xs, p.x)
-        counters.add(PROBES, bisect_charge(len(g)))
-        if idx >= len(g):
-            continue
-        cand = g[idx]
-        key = (cand.y, cand.x)
-        if best_key is None or key > best_key:
-            best, best_key = cand, key
+    best, probes = leftmost_right_of(G.groups, p.x, inclusive=True)
+    counters.add(PROBES, probes)
     if best is None:
         raise InternalInvariantViolation(f"no point at or right of x={p.x}")
     member = p == best
 
     prev = None
-    prev_key = None
     for g in G.groups:
         cand = _last_above(g, best.y)
-        if cand is None:
-            continue
-        key = (cand.x, cand.y)
-        if prev_key is None or key > prev_key:
-            prev, prev_key = cand, key
+        if cand is not None and (prev is None
+                                 or (cand.x, cand.y) > (prev.x, prev.y)):
+            prev = cand
     return member, prev
 
 
@@ -147,24 +152,16 @@ def next_relevant_point(G: GroupedSkyline, p: Point, lambda_sq: float) -> Point:
     point on the covered side and its successor; the membership dichotomy
     then picks the right global answer.  Requires p on the global skyline.
     """
-    if lambda_sq >= G.lambda_max_sq:
-        # Radius exceeds any real pairwise distance: the whole suffix is
-        # covered, and the dummies must be kept out of the searches.
-        return G.q0
     if p == G.q0:
         return p
 
     alpha = AlphaCurve(p, lambda_sq)
-    q_best = None
-    q_best_key = None
-    succ_best = None
-    succ_best_key = None
+    q_best = None  # rightmost covered point of any group
+    succ_best = None  # highest first uncovered point of any group
+    probes = 0
     counters.add(SEARCHES, G.t)
     for g in G.groups:
-        # Index 0 (left dummy) is always covered-side; the last index
-        # (right dummy) never is, since lambda < lambda_max.
-        lo, hi = 0, len(g) - 1
-        probes = 0
+        lo, hi = -1, len(g)  # g[lo] covered-side, g[hi] not; ends virtual
         while hi - lo > 1:
             mid = (lo + hi) // 2
             probes += 1
@@ -172,19 +169,19 @@ def next_relevant_point(G: GroupedSkyline, p: Point, lambda_sq: float) -> Point:
                 lo = mid
             else:
                 hi = mid
-        counters.add(PROBES, probes)
-        q_i = g[lo]
-        succ_i = g[lo + 1]
-        key_q = (q_i.x, q_i.y)
-        if q_best_key is None or key_q > q_best_key:
-            q_best, q_best_key = q_i, key_q
-        key_s = (succ_i.y, succ_i.x)
-        if succ_best_key is None or key_s > succ_best_key:
-            succ_best, succ_best_key = succ_i, key_s
+        if lo >= 0 and (q_best is None
+                        or (g[lo].x, g[lo].y) > (q_best.x, q_best.y)):
+            q_best = g[lo]
+        if hi < len(g) and (succ_best is None
+                            or (g[hi].y, g[hi].x) > (succ_best.y, succ_best.x)):
+            succ_best = g[hi]
+    counters.add(PROBES, probes)
 
+    if succ_best is None:
+        return q_best  # every group is covered to its end
     member, prev = test_membership_and_prev(G, succ_best)
     result = prev if member else q_best
-    if result is None or abs(result.x) == G.M:
+    if result is None:
         raise InternalInvariantViolation(
-            "next relevant point landed on a dummy; is p on the skyline?")
+            "next relevant point ran off the staircase; is p on the skyline?")
     return result

@@ -9,9 +9,9 @@ import math
 from dataclasses import dataclass, field
 
 from .decision import decide_grouped
-from .errors import DegenerateSpan, InvalidEpsilon
+from .errors import DegenerateSpan, InternalInvariantViolation, InvalidEpsilon
 from .exact import SolveResult
-from .geom import Point, PointSet, dist_sq
+from .geom import Point, PointSet, dist_sq, extremes
 from .grouped import build
 from .instrument import counters
 
@@ -24,12 +24,6 @@ class Slab:
     left_center: Point
     right_center: Point
     members: list[Point] = field(default_factory=list)
-
-
-def _extremes(P: PointSet) -> tuple[Point, Point]:
-    p0 = max(P.points, key=lambda p: (p.y, p.x))
-    q0 = max(P.points, key=lambda p: (p.x, p.y))
-    return p0, q0
 
 
 def _bisector_scan(points, p0: Point, q0: Point):
@@ -116,7 +110,7 @@ def solve_one_center(P: PointSet) -> SolveResult:
     """Optimal single center in O(n): only the two bisector candidates can
     minimize the larger distance to the skyline extremes."""
     P.require_nonempty()
-    p0, q0 = _extremes(P)
+    p0, q0 = extremes(P)
     if p0 == q0:
         return SolveResult(0.0, (p0,), "one-center")
     strip = [p for p in P.points if p0.x <= p.x <= q0.x]
@@ -139,7 +133,7 @@ def gonzalez_2approx(P: PointSet, k: int) -> tuple[list[Point], float]:
     if k == 1:
         res = solve_one_center(P)
         return list(res.centers), res.lambda_star_sq
-    p0, q0 = _extremes(P)
+    p0, q0 = extremes(P)
     if p0 == q0:
         return [p0], 0.0
     centers = [p0, q0]
@@ -201,4 +195,6 @@ def approx_solve(P: PointSet, k: int, eps: float) -> tuple[list[Point], float]:
         else:
             lo = mid + 1
     out = decide_grouped(G, k, grid_sq[lo])
+    if not out.feasible:
+        raise InternalInvariantViolation("selected grid radius is not feasible")
     return list(out.centers), grid_sq[lo]

@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from pareto_kcenter.geom import Point, PointSet
 from pareto_kcenter.instances import InstanceSpec, generate
@@ -24,6 +26,28 @@ def generated(kind: str, n: int, seed: int) -> PointSet:
 
 def staircase(*coords) -> PointSet:
     return PointSet.from_coords(coords)
+
+
+# Coordinate scales for the differential tests, and raw points for
+# scaled_pointset: small integers plus a few ulps of offset.
+SCALES = st.sampled_from([1.0, 2.0 ** 53, 1e17, 1e150])
+RAW_POINTS = st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40),
+                                st.integers(0, 3), st.integers(0, 3)),
+                      min_size=1, max_size=60)
+
+
+def scaled_pointset(scale: float, raw) -> PointSet:
+    """Small integers times the scale, plus a few ulps: ties in x or y,
+    duplicates and neighbours one ulp apart all occur."""
+    pts = []
+    for a, b, da, db in raw:
+        x, y = a * scale, b * scale
+        for _ in range(da):
+            x = math.nextafter(x, math.inf)
+        for _ in range(db):
+            y = math.nextafter(y, -math.inf)
+        pts.append(Point(x, y))
+    return PointSet(pts)
 
 
 STAIR3 = [(0, 2), (1, 1), (2, 0)]

@@ -93,8 +93,6 @@ def test_criterion_3_decision_equivalence():
                 break
             want = decide_materialized(sky, k, lam_sq)
             for G in builders:
-                if lam_sq >= G.lambda_max_sq:
-                    continue
                 got = decide_grouped(G, k, lam_sq)
                 assert got.feasible == want.feasible
                 assert got.centers == want.centers

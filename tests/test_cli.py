@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from pareto_kcenter.cli import main
+from pareto_kcenter.oracle import brute_opt
+from pareto_kcenter.pointio import read_point_file
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -24,6 +26,14 @@ def run_cli(capsys, *argv):
 def stair4(tmp_path):
     path = tmp_path / "stair4.txt"
     path.write_text("0 3\n1 2\n2 1\n3 0\n")
+    return str(path)
+
+
+@pytest.fixture
+def big_pair(tmp_path):
+    # Large coordinates with a small extent: the squared extent is finite.
+    path = tmp_path / "big.txt"
+    path.write_text("1.3e154 0\n1.2e154 1\n")
     return str(path)
 
 
@@ -68,9 +78,8 @@ class TestSkylineCommand:
         assert code == 2
 
     def test_default_equals_brute_at_scale_1e17(self, capsys, tmp_path):
-        # Past 2^53 the paper route's padding points lose their margin:
-        # 1 + 1e17 == 1e17, so its right pad shares x with the rightmost
-        # point, the largest coordinate here.  The default route has none.
+        # Past 2^53, 1 + 1e17 == 1e17: no margin beyond the largest
+        # coordinate is representable.
         rng = random.Random(17)
         path = tmp_path / "wide.txt"
         path.write_text("".join(f"{rng.randint(0, 10**17 - 1)} "
@@ -80,7 +89,16 @@ class TestSkylineCommand:
         assert code == 0
         _, brute_out, _ = run_cli(capsys, "skyline", str(path),
                                   "--algo", "brute")
-        assert sort_out == brute_out
+        _, optimal_out, _ = run_cli(capsys, "skyline", str(path),
+                                    "--algo", "optimal")
+        assert sort_out == brute_out == optimal_out
+
+    def test_optimal_keeps_both_points_near_overflow(self, capsys, big_pair):
+        code, out, _ = run_cli(capsys, "skyline", big_pair, "--algo", "optimal")
+        assert code == 0
+        assert out.splitlines()[0] == "2"
+        _, brute_out, _ = run_cli(capsys, "skyline", big_pair, "--algo", "brute")
+        assert out == brute_out
 
     def test_sort_is_the_default(self, capsys, tmp_path):
         path = tmp_path / "inst.txt"
@@ -112,6 +130,13 @@ class TestDecideCommand:
                               "--grouped")
             assert a == b
 
+    def test_grouped_matches_materialized_above_diameter(self, capsys):
+        path = str(GOLDEN / "staircase4.txt")
+        _, a, _ = run_cli(capsys, "decide", path, "--k", "1", "--lam", "100")
+        _, b, _ = run_cli(capsys, "decide", path, "--k", "1", "--lam", "100",
+                          "--grouped")
+        assert a == b == "FEASIBLE\n3 0\n"
+
     def test_zero_lambda_k_equals_n(self, capsys, stair4):
         code, out, _ = run_cli(capsys, "decide", stair4, "--k", "4", "--lam", "0")
         assert code == 0
@@ -133,6 +158,16 @@ class TestSolveCommand:
             record = dict(line.split("=", 1) for line in out.splitlines())
             values.add(record["lambda_star_sq"])
         assert len(values) == 1
+
+    def test_matrix_matches_brute_near_overflow(self, capsys, big_pair):
+        code, out, _ = run_cli(capsys, "solve", big_pair, "--k", "1",
+                               "--method", "matrix")
+        assert code == 0
+        record = dict(line.split("=", 1) for line in out.splitlines())
+        assert record["h"] == "2"
+        want = brute_opt(read_point_file(big_pair), 1)
+        assert want > 0.0
+        assert record["lambda_star_sq"] == want.hex()
 
     def test_k_at_least_h_gives_zero(self, capsys, stair4):
         _, out, _ = run_cli(capsys, "solve", stair4, "--k", "7")

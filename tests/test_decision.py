@@ -101,19 +101,18 @@ class TestDecideGrouped:
             for lam_sq in radii_with_offsets(sky):
                 want = decide_materialized(sky, k, lam_sq)
                 for G in builders:
-                    if lam_sq >= G.lambda_max_sq:
-                        continue
                     got = decide_grouped(G, k, lam_sq)
                     assert got.feasible == want.feasible
                     assert got.centers == want.centers
                     assert got.clusters == want.clusters
 
-    def test_fast_path_above_lambda_max(self):
+    def test_radius_above_diameter_matches_materialized(self):
         P = PointSet.from_coords(STAIR4)
         G = build(P, 2)
-        out = decide_grouped(G, 1, G.lambda_max_sq * 2)
-        assert out.feasible
-        assert out.centers == (G.p0,)
+        for lam_sq in (18.0, 1e4, 1e300):
+            out = decide_grouped(G, 1, lam_sq)
+            assert out == decide_materialized(stair4_sky(), 1, lam_sq)
+            assert out.centers == (G.q0,)
 
     def test_oracle_threshold(self, rng):
         # feasible exactly from the optimal candidate upward

@@ -3,19 +3,23 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pareto_kcenter import exact
 from pareto_kcenter.decision import decide_grouped, decide_materialized
-from pareto_kcenter.errors import NotFound, RankOutOfRange
+from pareto_kcenter.errors import (InternalInvariantViolation, NotFound,
+                                   RankOutOfRange)
 from pareto_kcenter.exact import (SortedDistanceMatrix, matrix_select,
-                                  multi_array_search, param_next_relevant,
-                                  solve_parametric, solve_via_matrix)
-from pareto_kcenter.geom import Point, PointSet, dist_sq
-from pareto_kcenter.grouped import build, next_relevant_point
+                                  multi_array_search, solve_parametric,
+                                  solve_via_matrix)
+from pareto_kcenter.geom import PointSet, dist_sq
+from pareto_kcenter.grouped import build
 from pareto_kcenter.instrument import counters
 from pareto_kcenter.oracle import brute_opt, brute_psi_sq, brute_skyline
 from pareto_kcenter.skyline import slow_skyline
 
-from conftest import STAIR3, STAIR4, random_pointset
+from conftest import (RAW_POINTS, SCALES, STAIR3, STAIR4, random_pointset,
+                      scaled_pointset)
 
 
 def sky_of(coords):
@@ -102,6 +106,12 @@ class TestSolveViaMatrix:
             with pytest.raises(EmptyInput):
                 solver(PointSet([]), 1)
 
+    def test_infeasible_final_radius_raises(self, monkeypatch):
+        # Every selection answering 0 drives the search to an infeasible radius.
+        monkeypatch.setattr(exact, "matrix_select", lambda D, rank: 0.0)
+        with pytest.raises(InternalInvariantViolation):
+            solve_via_matrix(PointSet.from_coords(STAIR4), 2)
+
     def test_negative_and_mixed_sign_coordinates(self, rng):
         for _ in range(40):
             P = PointSet.from_coords(
@@ -171,35 +181,6 @@ class TestMultiArraySearch:
             assert counters.get("multiarray_touches") <= 6 * t * log_total + 8
 
 
-class TestParamNextRelevant:
-    def test_one_center_staircase(self):
-        P = PointSet.from_coords(STAIR4)
-        G = build(P, 2)
-        decider = lambda v: decide_grouped(G, 1, v).feasible
-        # opt for k=1 is 8 (center (1,2) or (2,1)); nrp(p0, sqrt(8)) = (2,1)
-        assert param_next_relevant(G, Point(0, 3), decider) == Point(2, 1)
-
-    def test_k_at_least_h_returns_self(self):
-        P = PointSet.from_coords(STAIR4)
-        G = build(P, 2)
-        decider = lambda v: decide_grouped(G, 4, v).feasible
-        for p in slow_skyline(P):
-            assert param_next_relevant(G, p, decider) == p
-
-    def test_equals_nrp_at_oracle_optimum(self, rng):
-        for _ in range(60):
-            P = random_pointset(rng, rng.randint(2, 50))
-            k = rng.randint(1, 4)
-            lam = brute_opt(P, k)
-            sky = brute_skyline(P)
-            for kappa in (1, 3, len(P)):
-                G = build(P, kappa)
-                decider = lambda v: decide_grouped(G, k, v).feasible
-                for p in sky.pts[:: max(1, len(sky) // 4)]:
-                    assert (param_next_relevant(G, p, decider)
-                            == next_relevant_point(G, p, lam))
-
-
 class TestSolveParametric:
     def test_staircase4(self):
         res = solve_parametric(PointSet.from_coords(STAIR4), 2)
@@ -239,6 +220,13 @@ class TestSolveParametric:
                 sky = brute_skyline(P)
                 assert brute_psi_sq(sky, b.centers) == b.lambda_star_sq
 
+    def test_infeasible_final_radius_raises(self, monkeypatch):
+        # Every search answering 0 yields an infeasible recovered radius.
+        monkeypatch.setattr(exact, "multi_array_search", lambda a, probe: 0.0)
+        P = PointSet.from_coords([(i, 19 - i) for i in range(20)])
+        with pytest.raises(InternalInvariantViolation):
+            solve_parametric(P, 2)
+
     def test_certificate_pair(self, rng):
         for _ in range(40):
             P = random_pointset(rng, rng.randint(2, 60))
@@ -251,3 +239,23 @@ class TestSolveParametric:
             below = [r for r in radii if r < res.lambda_star_sq]
             if below:
                 assert not decide_materialized(sky, k, below[-1]).feasible
+
+
+@settings(max_examples=120, deadline=None)
+@given(SCALES, RAW_POINTS, st.integers(1, 4))
+def test_solvers_and_deciders_agree_at_every_scale(scale, raw, k):
+    P = scaled_pointset(scale, raw)
+    want = brute_opt(P, k)
+    assert solve_via_matrix(P, k).lambda_star_sq == want
+    assert solve_parametric(P, k).lambda_star_sq == want
+    sky = brute_skyline(P)
+    radii = [want]
+    below = [dist_sq(a, b) for a, b in itertools.combinations(sky, 2)
+             if dist_sq(a, b) < want]
+    if below:
+        radii.append(max(below))
+    for kappa in {1, 3, len(P)}:
+        G = build(P, kappa)
+        for lam_sq in radii:
+            assert decide_grouped(G, k, lam_sq) == decide_materialized(sky, k,
+                                                                       lam_sq)

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pareto_kcenter.geom import (LEFT, RIGHT_OR_BEYOND, AlphaCurve, Point,
-                                 PointSet, SkylineArray, cmp_perturbed_high,
-                                 cmp_perturbed_right, dist_sq, dominates,
-                                 side_of_alpha)
+                                 PointSet, SkylineArray, dist_sq, dominates,
+                                 extremes, side_of_alpha)
 from pareto_kcenter.oracle import brute_skyline
 
 from conftest import random_pointset
@@ -33,32 +32,16 @@ class TestDominates:
             assert p == q
 
 
-class TestComparators:
-    def test_tie_on_y_prefers_larger_x(self):
-        assert cmp_perturbed_high(Point(2, 5), Point(1, 5)) == 1
+class TestExtremes:
+    def test_ties_break_toward_the_other_coordinate(self):
+        P = PointSet.from_coords([(1, 5), (2, 5), (6, 0), (6, 2), (0, 0)])
+        assert extremes(P) == (Point(2, 5), Point(6, 2))
 
-    def test_y_dominates_order(self):
-        assert cmp_perturbed_high(Point(1, 5), Point(1, 4)) == 1
-
-    def test_equal(self):
-        assert cmp_perturbed_high(Point(3, 3), Point(3, 3)) == 0
-
-    def test_rightmost_mirror(self):
-        assert cmp_perturbed_right(Point(5, 1), Point(5, 2)) == -1
-        assert cmp_perturbed_right(Point(6, 0), Point(5, 9)) == 1
-
-    @given(points, points, points)
-    def test_total_order_transitive(self, a, b, c):
-        for cmp in (cmp_perturbed_high, cmp_perturbed_right):
-            if cmp(a, b) <= 0 and cmp(b, c) <= 0:
-                assert cmp(a, c) <= 0
-
-    @given(points, points)
-    def test_antisymmetric_and_total(self, a, b):
-        for cmp in (cmp_perturbed_high, cmp_perturbed_right):
-            assert cmp(a, b) == -cmp(b, a)
-            if cmp(a, b) == 0:
-                assert a == b
+    def test_ends_of_the_skyline(self, rng):
+        for _ in range(100):
+            P = random_pointset(rng, rng.randint(1, 40), coord=8)
+            sky = brute_skyline(P)
+            assert extremes(P) == (sky[0], sky[-1])
 
 
 class TestDistSq:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -7,6 +8,7 @@ from pareto_kcenter.geom import Point, PointSet, dist_sq
 from pareto_kcenter.grouped import (build, next_on_skyline,
                                     next_relevant_point,
                                     test_membership_and_prev)
+from pareto_kcenter.instrument import counters, sort_charge
 from pareto_kcenter.oracle import brute_skyline
 
 from conftest import STAIR4, random_pointset
@@ -28,15 +30,21 @@ class TestBuild:
         P = random_pointset(rng, 10)
         G = build(P, 10)
         assert G.t == 1
-        real = tuple(p for p in G.groups[0] if abs(p.x) != G.M)
-        assert real == brute_skyline(P).pts
+        assert G.groups[0].pts == brute_skyline(P).pts
 
     def test_singleton_groups(self):
         P = PointSet.from_coords([(0, 1), (1, 0)])
         G = build(P, 1)
         assert G.t == 2
-        for g in G.groups:
-            assert len(g) == 3  # its one point plus the two dummies
+        assert [g.pts for g in G.groups] == [(Point(0, 1),), (Point(1, 0),)]
+
+    def test_comparison_charge_counts_padded_groups(self):
+        # Groups of 3, 3 and 1 points, each charged as m + 2 points.
+        P = PointSet.from_coords([(i, 10 - i) for i in range(7)])
+        counters.reset()
+        build(P, 3)
+        want = 2 * (sort_charge(5) + 4) + sort_charge(3) + 2
+        assert counters.get("skyline_comparisons") == want
 
     def test_extremes_recorded(self, rng):
         P = random_pointset(rng, 30)
@@ -59,12 +67,13 @@ class TestNextOnSkyline:
     def test_far_left_returns_highest(self):
         P = PointSet.from_coords(STAIR4)
         G = build(P, 2)
-        assert next_on_skyline(G, -G.M) == Point(0, 3)
+        assert next_on_skyline(G, -math.inf) == Point(0, 3)
 
     def test_past_last_returns_dummy(self):
+        # None stands for the paper's right dummy point.
         P = PointSet.from_coords(STAIR4)
         G = build(P, 2)
-        assert next_on_skyline(G, 3.0) == G.hi_dummy
+        assert next_on_skyline(G, 3.0) is None
 
     def test_matches_scan_for_all_partitions(self, rng):
         for _ in range(60):
@@ -73,16 +82,17 @@ class TestNextOnSkyline:
             for kappa in (1, 2, 3, len(P)):
                 G = build(P, kappa)
                 for x0 in {p.x for p in P} | {p.x - 0.25 for p in sky}:
-                    want = next((q for q in sky if q.x > x0), G.hi_dummy)
+                    want = next((q for q in sky if q.x > x0), None)
                     assert next_on_skyline(G, x0) == want
 
 
 class TestMembershipAndPrev:
     def test_highest_point_prev_is_left_dummy(self):
+        # None stands for the paper's left dummy point.
         P = PointSet.from_coords(STAIR4)
         G = build(P, 2)
         member, prev = test_membership_and_prev(G, Point(0, 3))
-        assert member and prev == G.lo_dummy
+        assert member and prev is None
 
     def test_interior_point_not_member(self):
         P = PointSet.from_coords(STAIR4 + [(1, 1)])
@@ -107,7 +117,7 @@ class TestMembershipAndPrev:
                     assert member == (p in sky.pts)
                     idx = next((i for i, q in enumerate(sky) if q.x >= p.x),
                                len(sky))
-                    want = sky[idx - 1] if idx > 0 else G.lo_dummy
+                    want = sky[idx - 1] if idx > 0 else None
                     assert prev == want
 
 

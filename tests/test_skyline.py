@@ -1,17 +1,16 @@
-import math
-
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from pareto_kcenter.errors import EmptyInput
-from pareto_kcenter.geom import Point, PointSet
+from pareto_kcenter.geom import PointSet
 from pareto_kcenter.instances import fixed_skyline_fill
 from pareto_kcenter.instrument import counters
 from pareto_kcenter.oracle import brute_skyline
 from pareto_kcenter.skyline import (skyline_bounded, skyline_optimal,
                                     slow_skyline)
 
-from conftest import STAIR5, random_pointset
+from conftest import (RAW_POINTS, SCALES, STAIR5, random_pointset,
+                      scaled_pointset)
 
 
 def coords(sky):
@@ -50,23 +49,13 @@ class TestSlowSkyline:
         assert counters.get("skyline_comparisons") == 10 * 4 + 9
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from([1.0, 2.0 ** 53, 1e17, 1e150]),
-           st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40),
-                              st.integers(0, 3), st.integers(0, 3)),
-                    min_size=1, max_size=60))
+    @given(SCALES, RAW_POINTS)
     def test_equals_brute_at_every_scale(self, scale, raw):
-        # Small integers times the scale, plus a few ulps: ties in x or y,
-        # duplicates and neighbours one ulp apart all occur.
-        pts = []
-        for a, b, da, db in raw:
-            x, y = a * scale, b * scale
-            for _ in range(da):
-                x = math.nextafter(x, math.inf)
-            for _ in range(db):
-                y = math.nextafter(y, -math.inf)
-            pts.append(Point(x, y))
-        P = PointSet(pts)
-        assert slow_skyline(P).pts == brute_skyline(P).pts
+        P = scaled_pointset(scale, raw)
+        want = brute_skyline(P).pts
+        assert slow_skyline(P).pts == want
+        assert skyline_optimal(P).pts == want
+        assert skyline_bounded(P, len(P)).skyline.pts == want
 
 
 class TestSkylineBounded:

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from pareto_kcenter.errors import DegenerateSpan, InvalidEpsilon
+from pareto_kcenter import smallk
+from pareto_kcenter.errors import (DegenerateSpan, InternalInvariantViolation,
+                                   InvalidEpsilon)
 from pareto_kcenter.exact import solve_parametric, solve_via_matrix
 from pareto_kcenter.geom import Point, PointSet, dist_sq
 from pareto_kcenter.instrument import counters
@@ -166,3 +168,10 @@ class TestApproxSolve:
             # decide calls made by the grid search plus the final rerun;
             # gonzalez makes none
             assert counters.get("decide_calls") <= budget + 1
+
+    def test_infeasible_final_radius_raises(self, monkeypatch):
+        # A bracket far below the optimum leaves no feasible grid radius.
+        monkeypatch.setattr(smallk, "gonzalez_2approx",
+                            lambda P, k: ([Point(0, 4)], 0.01))
+        with pytest.raises(InternalInvariantViolation):
+            approx_solve(PointSet.from_coords(STAIR5), 2, 0.5)
