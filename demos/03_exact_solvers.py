@@ -1,10 +1,10 @@
 """Exact optimization: the smallest radius lambda* such that k skyline
 centers cover the skyline.
 
-Route one searches entry ranks of the implicit sorted distance matrix,
-with an O(h)-touch selection per probe.  Route two simulates the grouped
-greedy at the unknown optimum (parametric search).  Both return the same
-bitwise value, a pairwise skyline distance.
+Route one runs a multi-array search over the increasing rows of the
+sorted distance matrix, one decision per probe.  Route two simulates the
+grouped greedy at the unknown optimum (parametric search).  Both return
+the same bitwise value, a pairwise skyline distance.
 """
 
 from pareto_kcenter import (InstanceSpec, generate, solve_parametric,
@@ -18,11 +18,12 @@ print(f"n={len(P)} points on a quarter circle (h = n here)")
 for k in (2, 3, 5, 9):
     counters.reset()
     a = solve_via_matrix(P, k)
-    touched = counters.get("matrix_entries_touched")
+    probes = counters.get("multiarray_probes")
+    decisions = counters.get("decide_calls")
     b = solve_parametric(P, k)
     assert a.lambda_star_sq == b.lambda_star_sq
     print(f"k={k}: lambda* = {a.lambda_star:10.4f} "
-          f"[matrix route touched {touched:,} entries; "
+          f"[matrix route: {probes} probes, {decisions} decisions; "
           f"parametric route: {b.algorithm}]")
 
 # Ground truth on a smaller instance, plus the rescan certificate.

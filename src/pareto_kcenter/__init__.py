@@ -3,9 +3,10 @@ Pareto front.
 
 The library computes skylines output-sensitively, decides coverability
 by k radius-bounded disks with or without materializing the skyline,
-solves the optimization exactly by sorted-matrix selection or parametric
-search, and offers linear/near-linear routes for very small k, all
-validated against brute-force oracles.
+solves the optimization exactly by a multi-array search over the sorted
+distance matrix's rows or by parametric search, and offers
+linear/near-linear routes for very small k, all validated against
+brute-force oracles.
 """
 
 from .decision import DecisionOutcome, decide_grouped, decide_materialized

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .decision import decide_grouped, decide_materialized
-from .errors import EmptyInput
+from .errors import EmptyInput, InvalidEpsilon
 from .exact import solve_parametric, solve_via_matrix
 from .geom import Point, PointSet
 from .grouped import build
@@ -209,7 +209,7 @@ def cmd_decide(args) -> int:
     if args.k < 1:
         print("error: k must be >= 1", file=sys.stderr)
         return EXIT_INPUT
-    if args.lam < 0:
+    if not args.lam >= 0:  # also rejects NaN
         print("error: lambda must be >= 0", file=sys.stderr)
         return EXIT_INPUT
     lam_sq = args.lam * args.lam
@@ -411,7 +411,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EmptyInput as exc:
+    except (EmptyInput, InvalidEpsilon) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -39,7 +39,7 @@ def decide_materialized(S: SkylineArray, k: int, lambda_sq: float) -> DecisionOu
         raise EmptyInput("empty skyline")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if lambda_sq < 0:
+    if not lambda_sq >= 0:  # also rejects NaN
         raise ValueError("lambda_sq must be >= 0")
     counters.add("decide_calls")
     h = len(S)
@@ -77,7 +77,7 @@ def decide_grouped(G: GroupedSkyline, k: int, lambda_sq: float) -> DecisionOutco
     computed with at most 2k next-relevant-point queries."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if lambda_sq < 0:
+    if not lambda_sq >= 0:  # also rejects NaN
         raise ValueError("lambda_sq must be >= 0")
     counters.add("decide_calls")
     centers: list[Point] = []

@@ -1,17 +1,19 @@
 """Exact solvers for the k-center value along the skyline.
 
-Two routes, both selecting from the finite candidate set of pairwise
-skyline distances:
+Two routes, both searching the finite candidate set of pairwise skyline
+distances with one engine, multi_array_search, and a decision procedure
+as the predicate:
 
-* rank-space binary search over the implicit sorted distance matrix,
-  using a submatrix-halving selection that touches O(h) entries;
+* matrix route: the rows d(S[i], S[j > i]) of the sorted distance
+  matrix over the materialized skyline, with the materialized decision;
 * parametric search: simulate the grouped greedy at the unknown optimum,
-  resolving each step by a monotone search over per-group sorted
-  distance lists with the decision procedure as comparator.
+  resolving each step by a search over per-group sorted distance lists
+  with the grouped decision.
 
-Distances are kept squared throughout; matrix entries are signed squared
-values (sign flips at the diagonal), which preserves the sorted-matrix
-property because squaring is monotone on magnitudes.
+Distances are kept squared throughout; squaring is monotone on
+distances, so every row stays sorted.  matrix_select, the
+Frederickson-Johnson selection over the implicit signed matrix, is kept
+as the paper's reference; no solver calls it.
 """
 
 from __future__ import annotations
@@ -128,43 +130,6 @@ def matrix_select(D: SortedDistanceMatrix, rank: int) -> float:
     return keys[a - 1][0]
 
 
-def solve_via_matrix(P: PointSet, k: int) -> SolveResult:
-    """Binary search on entry ranks, one decision per probed rank."""
-    P.require_nonempty()
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _solve_matrix_on_skyline(skyline_optimal(P), k)
-
-
-def _solve_matrix_on_skyline(S: SkylineArray, k: int) -> SolveResult:
-    h = len(S)
-    if k >= h:
-        return SolveResult(0.0, tuple(S), "matrix")
-    D = SortedDistanceMatrix(S)
-    probed: dict[int, float] = {}
-
-    def value(r: int) -> float:
-        v = probed.get(r)
-        if v is None:
-            v = matrix_select(D, r)
-            probed[r] = v
-        return v
-
-    lo, hi = 1, h * h  # rank h*h is the full diameter: always feasible
-    while lo < hi:
-        mid = (lo + hi) // 2
-        v = value(mid)
-        if v >= 0.0 and decide_materialized(S, k, v).feasible:
-            hi = mid
-        else:
-            lo = mid + 1
-    lam = value(lo) + 0.0  # normalizes -0.0
-    out = decide_materialized(S, k, lam)
-    if not out.feasible:
-        raise InternalInvariantViolation("selected radius is not feasible")
-    return SolveResult(lam, out.centers, "matrix")
-
-
 def multi_array_search(arrays: Sequence, probe: Callable[[float], bool]) -> float:
     """Smallest value in the union of sorted arrays on which the monotone
     (false-then-true) predicate is true.
@@ -212,7 +177,7 @@ def multi_array_search(arrays: Sequence, probe: Callable[[float], bool]) -> floa
 
 
 class _SuffixDistances:
-    """Lazy sorted view: squared distances from p to a group-skyline suffix.
+    """Lazy sorted view: squared distances from p to a skyline suffix.
 
     Sortedness holds because distances from a skyline point grow
     monotonically along the staircase to its right.
@@ -230,6 +195,29 @@ class _SuffixDistances:
 
     def __getitem__(self, j: int) -> float:
         return dist_sq(self.p, self.g[self.start + j])
+
+
+def solve_via_matrix(P: PointSet, k: int) -> SolveResult:
+    """Multi-array search over the h-1 increasing rows d(S[i], S[j > i])
+    of the sorted distance matrix, one materialized decision per probe.
+
+    For k < h the optimum is positive, so it lies in those rows; the last
+    entry of row 0, the diameter, is always feasible.
+    """
+    P.require_nonempty()
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    S = skyline_optimal(P)
+    h = len(S)
+    if k >= h:
+        return SolveResult(0.0, tuple(S), "matrix")
+    rows = [_SuffixDistances(S, i + 1, S[i]) for i in range(h - 1)]
+    lam = multi_array_search(rows, lambda v: decide_materialized(S, k, v).feasible)
+    lam += 0.0  # normalizes -0.0
+    out = decide_materialized(S, k, lam)
+    if not out.feasible:
+        raise InternalInvariantViolation("selected radius is not feasible")
+    return SolveResult(lam, out.centers, "matrix")
 
 
 def _suffix_arrays(G: GroupedSkyline, p: Point) -> list[_SuffixDistances]:

@@ -28,15 +28,14 @@ CMP = "skyline_comparisons"
 class GroupedSkyline:
     """Immutable after build; all queries are pure."""
 
-    __slots__ = ("groups", "t", "kappa", "p0", "q0", "n")
+    __slots__ = ("groups", "t", "kappa", "p0", "q0")
 
-    def __init__(self, groups, kappa, p0, q0, n):
+    def __init__(self, groups, kappa, p0, q0):
         self.groups: list[SkylineArray] = groups
         self.t: int = len(groups)
         self.kappa: int = kappa
         self.p0: Point = p0
         self.q0: Point = q0
-        self.n = n
 
 
 def _scan_skyline(points: list[Point]) -> SkylineArray:
@@ -90,8 +89,7 @@ def build(P: PointSet, kappa: int) -> GroupedSkyline:
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
     p0, q0 = extremes(P)
-    return GroupedSkyline(group_skylines(P.points, kappa), kappa, p0, q0,
-                          len(P))
+    return GroupedSkyline(group_skylines(P.points, kappa), kappa, p0, q0)
 
 
 def next_on_skyline(G: GroupedSkyline, x0: float) -> Point | None:

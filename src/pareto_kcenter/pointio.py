@@ -90,8 +90,3 @@ def read_point_file(path: str) -> PointSet:
 def write_points(points: Iterable[Point], out: TextIO) -> None:
     for p in points:
         out.write(f"{fmt_coord(p.x)} {fmt_coord(p.y)}\n")
-
-
-def write_point_file(points: Iterable[Point], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_points(points, fh)

@@ -170,7 +170,7 @@ def gonzalez_2approx(P: PointSet, k: int) -> tuple[list[Point], float]:
 def approx_solve(P: PointSet, k: int, eps: float) -> tuple[list[Point], float]:
     """(1+eps)-approximation: bracket the optimum with the farthest-first
     radius, then binary search a grid of ~2/eps radii with the grouped
-    decision procedure."""
+    decision procedure.  Each grid radius is computed when probed."""
     if not 0.0 < eps < 1.0:
         raise InvalidEpsilon(f"eps must be in (0, 1), got {eps}")
     P.require_nonempty()
@@ -181,20 +181,23 @@ def approx_solve(P: PointSet, k: int, eps: float) -> tuple[list[Point], float]:
         return centers2, 0.0
     base = math.sqrt(psi2_sq) / 2.0  # base <= opt <= 2*base
     jmax = math.ceil(2.0 / eps)
-    grid_sq = [(base * (1.0 + j * eps / 2.0)) ** 2 for j in range(jmax + 1)]
-    # Guard the top against sqrt rounding: psi2_sq itself is feasible.
-    grid_sq[-1] = max(grid_sq[-1], psi2_sq)
+
+    def grid_sq(j: int) -> float:
+        r_sq = (base * (1.0 + j * eps / 2.0)) ** 2
+        # Guard the top against sqrt rounding: psi2_sq itself is feasible.
+        return max(r_sq, psi2_sq) if j == jmax else r_sq
 
     kappa = min(len(P), max(1, math.ceil(k * k * math.log2(1.0 / eps) ** 2)))
     G = build(P, kappa)
     lo, hi = 0, jmax
     while lo < hi:
         mid = (lo + hi) // 2
-        if decide_grouped(G, k, grid_sq[mid]).feasible:
+        if decide_grouped(G, k, grid_sq(mid)).feasible:
             hi = mid
         else:
             lo = mid + 1
-    out = decide_grouped(G, k, grid_sq[lo])
+    lam_sq = grid_sq(lo)
+    out = decide_grouped(G, k, lam_sq)
     if not out.feasible:
         raise InternalInvariantViolation("selected grid radius is not feasible")
-    return list(out.centers), grid_sq[lo]
+    return list(out.centers), lam_sq

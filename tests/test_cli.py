@@ -142,6 +142,14 @@ class TestDecideCommand:
         assert code == 0
         assert out.splitlines()[0] == "FEASIBLE"
 
+    @pytest.mark.parametrize("lam", ["-1", "nan"])
+    def test_negative_or_nan_lambda_exits_2(self, capsys, stair4, lam):
+        for grouped in ([], ["--grouped"]):
+            code, out, err = run_cli(capsys, "decide", stair4, "--k", "2",
+                                     "--lam", lam, *grouped)
+            assert code == 2 and out == ""
+            assert err == "error: lambda must be >= 0\n"
+
 
 class TestSolveCommand:
     def test_lambda_printed_to_12_decimals(self, capsys, stair4):
@@ -190,6 +198,15 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, "solve", stair4, "--k", "2",
                                "--method", "approx:0.5")
         assert code == 0
+
+    @pytest.mark.parametrize("eps, shown", [("0", "0.0"), ("2", "2.0"),
+                                            ("nan", "nan"), ("-0.5", "-0.5")])
+    def test_approx_epsilon_out_of_range_exits_2(self, capsys, stair4,
+                                                 eps, shown):
+        code, out, err = run_cli(capsys, "solve", stair4, "--k", "2",
+                                 "--method", f"approx:{eps}")
+        assert code == 2 and out == ""
+        assert err == f"error: eps must be in (0, 1), got {shown}\n"
 
 
 class TestGenCommand:
@@ -249,6 +266,12 @@ class TestBenchCommand:
         code, _, err = run_cli(capsys, "bench", "--n", "12,abc")
         assert code == 2 and "comma-separated integers" in err
 
+    def test_approx_epsilon_out_of_range_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "bench", "--n", "64",
+                               "--method", "approx:0")
+        assert code == 2
+        assert err == "error: eps must be in (0, 1), got 0.0\n"
+
     def test_decide_grouped_method(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--generator", "staircase",
                                "--n", "128", "--k", "4",
@@ -290,6 +313,17 @@ class TestPlotCommand:
         run_cli(capsys, "plot", stair4, "--k", "2", "--out", str(a))
         run_cli(capsys, "plot", stair4, "--k", "2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("eps", ["0", "2", "nan"])
+    def test_approx_epsilon_out_of_range_exits_2(self, capsys, stair4,
+                                                 tmp_path, eps):
+        out_path = tmp_path / "plot.svg"
+        code, out, err = run_cli(capsys, "plot", stair4, "--k", "2",
+                                 "--method", f"approx:{eps}",
+                                 "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: eps must be in (0, 1), got ")
+        assert not out_path.exists()
 
 
 class TestInputRejection:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -136,3 +137,12 @@ class TestDecideGrouped:
             decide_grouped(G, 0, 1.0)
         with pytest.raises(ValueError):
             decide_grouped(G, 1, -1.0)
+
+
+@pytest.mark.parametrize("lam_sq", [-1.0, math.nan])
+def test_negative_or_nan_radius_rejected(lam_sq):
+    P = PointSet.from_coords(STAIR4)
+    with pytest.raises(ValueError):
+        decide_materialized(slow_skyline(P), 2, lam_sq)
+    with pytest.raises(ValueError):
+        decide_grouped(build(P, 2), 2, lam_sq)

@@ -107,8 +107,8 @@ class TestSolveViaMatrix:
                 solver(PointSet([]), 1)
 
     def test_infeasible_final_radius_raises(self, monkeypatch):
-        # Every selection answering 0 drives the search to an infeasible radius.
-        monkeypatch.setattr(exact, "matrix_select", lambda D, rank: 0.0)
+        # A search answering 0 yields an infeasible selected radius.
+        monkeypatch.setattr(exact, "multi_array_search", lambda a, probe: 0.0)
         with pytest.raises(InternalInvariantViolation):
             solve_via_matrix(PointSet.from_coords(STAIR4), 2)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -168,6 +169,19 @@ class TestApproxSolve:
             # decide calls made by the grid search plus the final rerun;
             # gonzalez makes none
             assert counters.get("decide_calls") <= budget + 1
+
+    def test_radius_grid_not_materialized(self):
+        # The grid has 2/eps + 1 radii; the search reads about log2 of them.
+        P = PointSet.from_coords([(i, 199 - i) for i in range(200)])
+        tracemalloc.start()
+        try:
+            centers, psi_sq = approx_solve(P, 3, 1e-5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert psi_sq > 0.0
+        assert brute_psi_sq(brute_skyline(P), centers) <= psi_sq
 
     def test_infeasible_final_radius_raises(self, monkeypatch):
         # A bracket far below the optimum leaves no feasible grid radius.
