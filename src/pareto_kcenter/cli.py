@@ -167,13 +167,16 @@ def cmd_gen(args) -> int:
             print(f"error: bad --param {kv!r}, expected KEY=NUMBER",
                   file=sys.stderr)
             return EXIT_INPUT
-    spec = InstanceSpec(args.generator, args.n, args.seed, params)
-    P = generate(spec)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_points(P.points, fh)
-    else:
-        write_points(P.points, sys.stdout)
+    try:
+        P = generate(InstanceSpec(args.generator, args.n, args.seed, params))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                write_points(P.points, fh)
+        else:
+            write_points(P.points, sys.stdout)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return EXIT_OK
 
 
@@ -188,7 +191,8 @@ def cmd_skyline(args) -> int:
         sky = brute_skyline(P).pts
     elif algo.startswith("bounded"):
         parts = algo.split(":", 1)
-        if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+        if (len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit())
+                or int(parts[1]) < 1):
             print("error: use bounded:<s> with s >= 1", file=sys.stderr)
             return EXIT_INPUT
         result = skyline_bounded(P, int(parts[1]))
@@ -211,6 +215,10 @@ def cmd_decide(args) -> int:
         return EXIT_INPUT
     if not args.lam >= 0:  # also rejects NaN
         print("error: lambda must be >= 0", file=sys.stderr)
+        return EXIT_INPUT
+    if args.grouped is not None and args.grouped < 0:
+        print("error: KAPPA must be >= 1 (0 or omitted means k)",
+              file=sys.stderr)
         return EXIT_INPUT
     lam_sq = args.lam * args.lam
     if args.grouped is not None:
@@ -277,6 +285,10 @@ def _bench_once(P: PointSet, k: int, method: str):
     return h, elapsed, snap, _digest(payload[0], payload[1])
 
 
+BENCH_METHODS = ("skyline-slow", "skyline-optimal", "decide-materialized",
+                 "decide-grouped", "matrix", "parametric", "auto", "gonzalez",
+                 "one-center")  # and approx:<eps>
+
 BENCH_COUNTERS = ("skyline_comparisons", "binary_searches",
                   "binary_search_probes", "dist_evals", "decide_calls")
 
@@ -294,6 +306,9 @@ def cmd_bench(args) -> int:
         return EXIT_INPUT
     if any(k < 1 for k in ks):
         print("error: k must be >= 1", file=sys.stderr)
+        return EXIT_INPUT
+    if args.method not in BENCH_METHODS and not args.method.startswith("approx:"):
+        print(f"error: unknown method {args.method!r}", file=sys.stderr)
         return EXIT_INPUT
     cols = ["gen", "n", "h", "k", "method", "ms", *BENCH_COUNTERS,
             "t_ratio", "c_ratio", "digest"]
@@ -389,9 +404,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma-separated sizes")
     p.add_argument("--k", default="2", help="comma-separated k values")
     p.add_argument("--method", default="skyline-optimal",
-                   help="skyline-slow | skyline-optimal | decide-materialized"
-                        " | decide-grouped | matrix | parametric | gonzalez"
-                        " | one-center | approx:<eps>")
+                   help=" | ".join(BENCH_METHODS) + " | approx:<eps>")
     p.add_argument("--seed", type=int, default=_env_seed())
     p.add_argument("--lead-counter", default=None,
                    help="counter for the c_ratio column")

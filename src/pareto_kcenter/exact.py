@@ -177,24 +177,32 @@ def multi_array_search(arrays: Sequence, probe: Callable[[float], bool]) -> floa
 
 
 class _SuffixDistances:
-    """Lazy sorted view: squared distances from p to a skyline suffix.
+    """Lazy sorted view: squared distances from p to the staircase points
+    (xs[i], ys[i]) for start <= i < end.
 
     Sortedness holds because distances from a skyline point grow
     monotonically along the staircase to its right.
     """
 
-    __slots__ = ("g", "start", "p")
+    __slots__ = ("xs", "ys", "start", "end", "px", "py")
 
-    def __init__(self, g: SkylineArray, start: int, p: Point):
-        self.g = g
+    def __init__(self, xs: list[float], ys: list[float], start: int,
+                 end: int, p: Point):
+        self.xs = xs
+        self.ys = ys
         self.start = start
-        self.p = p
+        self.end = end
+        self.px = p.x
+        self.py = p.y
 
     def __len__(self) -> int:
-        return len(self.g) - self.start
+        return self.end - self.start
 
     def __getitem__(self, j: int) -> float:
-        return dist_sq(self.p, self.g[self.start + j])
+        i = self.start + j
+        dx = self.px - self.xs[i]  # as dist_sq(p, q)
+        dy = self.py - self.ys[i]
+        return dx * dx + dy * dy
 
 
 def solve_via_matrix(P: PointSet, k: int) -> SolveResult:
@@ -211,7 +219,8 @@ def solve_via_matrix(P: PointSet, k: int) -> SolveResult:
     h = len(S)
     if k >= h:
         return SolveResult(0.0, tuple(S), "matrix")
-    rows = [_SuffixDistances(S, i + 1, S[i]) for i in range(h - 1)]
+    ys = [q.y for q in S]
+    rows = [_SuffixDistances(S.xs, ys, i + 1, h, S[i]) for i in range(h - 1)]
     lam = multi_array_search(rows, lambda v: decide_materialized(S, k, v).feasible)
     lam += 0.0  # normalizes -0.0
     out = decide_materialized(S, k, lam)
@@ -222,10 +231,12 @@ def solve_via_matrix(P: PointSet, k: int) -> SolveResult:
 
 def _suffix_arrays(G: GroupedSkyline, p: Point) -> list[_SuffixDistances]:
     arrays = []
-    for g in G.groups:
-        start = bisect_left(g.xs, p.x)
-        if start < len(g):
-            arrays.append(_SuffixDistances(g, start, p))
+    lo = 0
+    for hi in G.groups:
+        start = bisect_left(G.xs, p.x, lo, hi)
+        if start < hi:
+            arrays.append(_SuffixDistances(G.xs, G.ys, start, hi, p))
+        lo = hi
     return arrays
 
 

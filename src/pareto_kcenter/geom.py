@@ -79,55 +79,77 @@ class PointSet:
     the partitioned algorithms).
 
     Built from Points or from an (m, 2) float array of finite
-    coordinates; ``xy`` holds the kept coordinates as a read-only
-    float array, row i being ``points[i]``.
+    coordinates.  ``xy`` holds the kept coordinates as a read-only float
+    array; the algorithms work on it and make Points only for their
+    results.  ``points[i]`` is row i as a Point: the caller's own object
+    when built from Points, otherwise made on first use of ``points``.
     """
 
-    __slots__ = ("points", "xy")
+    __slots__ = ("xy", "_points")
 
     def __init__(self, points: Iterable[Point] | np.ndarray):
         if isinstance(points, np.ndarray):
             given = None
             xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+            finite = np.isfinite(xy).all(axis=1)
+            if not finite.all():
+                x, y = xy[np.argmin(finite)].tolist()
+                raise ValueError(f"non-finite coordinate: ({x}, {y})")
         else:
             given = list(points)
             xy = np.array([(p.x, p.y) for p in given],
                           dtype=np.float64).reshape(-1, 2)
         keep = first_occurrences(xy)
         xy = xy[keep]
-        if given is None:
-            kept = [Point(x, y)
-                    for x, y in zip(xy[:, 0].tolist(), xy[:, 1].tolist())]
-        else:
-            kept = [given[i] for i in keep.tolist()]
         xy.flags.writeable = False
-        self.points: tuple[Point, ...] = tuple(kept)
         self.xy: np.ndarray = xy
+        self._points: tuple[Point, ...] | None = (
+            None if given is None else tuple(given[i] for i in keep.tolist()))
 
     @classmethod
     def from_coords(cls, coords: Iterable[tuple[float, float]]) -> "PointSet":
         return cls(Point(x, y) for x, y in coords)
 
     @property
+    def points(self) -> tuple[Point, ...]:
+        if self._points is None:
+            self._points = tuple(map(Point, self.xy[:, 0].tolist(),
+                                     self.xy[:, 1].tolist()))
+        return self._points
+
+    @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.xy)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xy)
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
 
     def require_nonempty(self) -> None:
-        if not self.points:
+        if not len(self.xy):
             raise EmptyInput("point set is empty")
+
+
+def lex_argmax(a: np.ndarray, b: np.ndarray,
+               where: np.ndarray | None = None) -> int | None:
+    """Index of the largest pair (a[i], b[i]), over the i where `where`
+    holds if it is given: the first one on exact ties, None if no i
+    qualifies."""
+    rows = np.arange(len(a)) if where is None else np.flatnonzero(where)
+    if not len(rows):
+        return None
+    top = rows[a[rows] == a[rows].max()]
+    return int(top[np.argmax(b[top])])
 
 
 def extremes(P: PointSet) -> tuple[Point, Point]:
     """The two ends of sky(P): the highest point (ties toward larger x)
     and the rightmost point (ties toward larger y)."""
-    p0 = max(P.points, key=lambda p: (p.y, p.x))
-    q0 = max(P.points, key=lambda p: (p.x, p.y))
+    x, y = P.xy[:, 0], P.xy[:, 1]
+    p0 = Point(*P.xy[lex_argmax(y, x)].tolist())
+    q0 = Point(*P.xy[lex_argmax(x, y)].tolist())
     return p0, q0
 
 

@@ -15,6 +15,14 @@ from .geom import Point, PointSet
 
 GENERATORS = ("uniform-square", "clustered", "staircase", "circle-quadrant")
 
+# The parameters each generator reads; every value must be finite.
+PARAMS = {
+    "uniform-square": ("scale",),
+    "clustered": ("scale", "clusters", "spread"),
+    "staircase": ("step",),
+    "circle-quadrant": ("radius",),
+}
+
 DEFAULT_SEED = 20240 + 817
 
 
@@ -30,6 +38,16 @@ class InstanceSpec:
             raise ValueError(f"unknown generator {self.generator!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        for key, val in self.params.items():
+            if key not in PARAMS[self.generator]:
+                raise ValueError(f"unknown parameter {key!r} for "
+                                 f"{self.generator}; expected one of "
+                                 f"{', '.join(PARAMS[self.generator])}")
+            if not math.isfinite(val):
+                raise ValueError(f"parameter {key} must be finite, got {val}")
+        clusters = self.params.get("clusters", 1)
+        if not (float(clusters).is_integer() and clusters >= 1):
+            raise ValueError(f"clusters must be an integer >= 1, got {clusters}")
 
 
 def generate(spec: InstanceSpec) -> PointSet:

@@ -45,7 +45,8 @@ def slow_skyline(P: PointSet) -> SkylineArray:
     ys = P.xy[order, 1]
     keep = np.ones(n, dtype=bool)
     keep[:-1] = ys[:-1] > np.maximum.accumulate(ys[::-1])[::-1][1:]
-    return SkylineArray([P.points[i] for i in order[keep].tolist()])
+    sky = P.xy[order[keep]]
+    return SkylineArray(map(Point, sky[:, 0].tolist(), sky[:, 1].tolist()))
 
 
 def skyline_bounded(P: PointSet, s: int) -> BoundedResult:
@@ -58,16 +59,16 @@ def skyline_bounded(P: PointSet, s: int) -> BoundedResult:
     P.require_nonempty()
     if s < 1:
         raise ValueError("s must be >= 1")
-    groups = group_skylines(P.points, s)
+    xs, ys, groups = group_skylines(P.xy, s)
     out: list[Point] = []
     x_cur = -math.inf
     for _ in range(s + 1):
-        best, probes = leftmost_right_of(groups, x_cur)
+        best, probes = leftmost_right_of(xs, ys, groups, x_cur)
         counters.add(CMP, probes + len(groups))
         if best is None:
             return BoundedResult(SkylineArray(out))
-        out.append(best)
-        x_cur = best.x
+        x_cur = xs[best]
+        out.append(Point(x_cur, ys[best]))
     return INCOMPLETE
 
 

@@ -1,17 +1,22 @@
 """Algorithms for very small k: linear-time 1-center, farthest-first
 2-approximation over slabs, and a (1+eps)-approximation by a bounded
 binary search over a radius grid.
+
+The linear scans run on coordinate arrays (rows of a PointSet's ``xy``);
+Points are made only for the centers and the bisector candidates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .decision import decide_grouped
 from .errors import DegenerateSpan, InternalInvariantViolation, InvalidEpsilon
 from .exact import SolveResult
-from .geom import Point, PointSet, dist_sq, extremes
+from .geom import Point, PointSet, dist_sq, extremes, lex_argmax
 from .grouped import build
 from .instrument import counters
 
@@ -19,73 +24,55 @@ from .instrument import counters
 @dataclass
 class Slab:
     """Vertical strip between two consecutive centers; members are the
-    points with x strictly between the bounding centers'."""
+    coordinate rows, an (m, 2) array, of the points with x strictly
+    between the bounding centers'."""
 
     left_center: Point
     right_center: Point
-    members: list[Point] = field(default_factory=list)
+    members: np.ndarray
 
 
-def _bisector_scan(points, p0: Point, q0: Point):
-    """One pass implementing the bisector dichotomy over `points` and the
-    two anchors.  Returns (p_prime, q_prime): the last skyline point on
-    the p0 side of the bisector and the first on the q0 side.
+def _bisector_scan(xy: np.ndarray, p0: Point, q0: Point):
+    """One pass implementing the bisector dichotomy over the rows of `xy`
+    and the two anchors.  Returns (p_prime, q_prime): the last skyline
+    point on the p0 side of the bisector and the first on the q0 side.
 
     Distance evaluations: 2 per scanned point.
     """
-    pool = list(points)
-    pool.append(p0)
-    pool.append(q0)
+    pool = np.concatenate([xy, [[p0.x, p0.y], [q0.x, q0.y]]])
     counters.add("dist_evals", 2 * len(pool))
-    p1 = None
-    p1_key = None
-    q1 = None
-    q1_key = None
-    for r in pool:
-        if dist_sq(r, p0) <= dist_sq(r, q0):  # on the bisector counts left
-            key = (r.x, r.y)
-            if p1_key is None or key > p1_key:
-                p1, p1_key = r, key
-        else:
-            key = (r.y, r.x)
-            if q1_key is None or key > q1_key:
-                q1, q1_key = r, key
+    x, y = pool[:, 0], pool[:, 1]
+    dx, dy = x - p0.x, y - p0.y
+    to_p = dx * dx + dy * dy
+    dx, dy = x - q0.x, y - q0.y
+    left = to_p <= dx * dx + dy * dy  # on the bisector counts left
 
     # q0 is always strictly right of the bisector, so q1 exists.
-    q1_on_skyline = not any(
-        r is not q1 and r.x >= q1.x and r.y >= q1.y and (r.x, r.y) != (q1.x, q1.y)
-        for r in pool)
-    if q1_on_skyline:
-        q_prime = q1
-        p_prime = None
-        best = None
-        for r in pool:
-            if r.y > q1.y:
-                key = (r.x, r.y)
-                if best is None or key > best:
-                    p_prime, best = r, key
+    q1 = lex_argmax(y, x, ~left)
+    qx, qy = x[q1], y[q1]
+    if not np.any((x >= qx) & (y >= qy) & ((x != qx) | (y != qy))):
+        q_prime = q1  # q1 is on the skyline
+        p_prime = lex_argmax(x, y, y > qy)
     else:
-        p_prime = p1
-        q_prime = None
-        best = None
-        for r in pool:
-            if r.x > p1.x:
-                key = (r.y, r.x)
-                if best is None or key > best:
-                    q_prime, best = r, key
-    return p_prime, q_prime
+        p_prime = lex_argmax(x, y, left)
+        q_prime = lex_argmax(y, x, x > x[p_prime])
+    return Point(*pool[p_prime].tolist()), Point(*pool[q_prime].tolist())
 
 
 def bisector_extremes(points, p0: Point, q0: Point) -> tuple[Point, Point]:
     """Over the skyline portion between p0 and q0: the point minimizing the
     larger anchor distance, and the point maximizing the smaller one.
 
-    `points` must lie within the strip x(p0) <= x <= x(q0) (anchors need
-    not be included).  O(1) linear scans; the skyline is never built.
-    Ties break toward smaller x.
+    `points`, Points or an (m, 2) coordinate array, must lie within the
+    strip x(p0) <= x <= x(q0) (anchors need not be included).  O(1)
+    linear scans; the skyline is never built.  Ties break toward
+    smaller x.
     """
     if p0 == q0:
         raise DegenerateSpan("anchors coincide")
+    if not isinstance(points, np.ndarray):
+        points = np.array([(p.x, p.y) for p in points],
+                          dtype=np.float64).reshape(-1, 2)
     p_prime, q_prime = _bisector_scan(points, p0, q0)
     counters.add("dist_evals", 4)
     cands = []
@@ -113,7 +100,8 @@ def solve_one_center(P: PointSet) -> SolveResult:
     p0, q0 = extremes(P)
     if p0 == q0:
         return SolveResult(0.0, (p0,), "one-center")
-    strip = [p for p in P.points if p0.x <= p.x <= q0.x]
+    x = P.xy[:, 0]
+    strip = P.xy[(x >= p0.x) & (x <= q0.x)]
     r_star, _ = bisector_extremes(strip, p0, q0)
     counters.add("dist_evals", 2)
     lam_sq = max(dist_sq(r_star, p0), dist_sq(r_star, q0))
@@ -137,7 +125,8 @@ def gonzalez_2approx(P: PointSet, k: int) -> tuple[list[Point], float]:
     if p0 == q0:
         return [p0], 0.0
     centers = [p0, q0]
-    members = [p for p in P.points if p0.x < p.x < q0.x]
+    x = P.xy[:, 0]
+    members = P.xy[(x > p0.x) & (x < q0.x)]
     slabs = [Slab(p0, q0, members)]
     best_cache: dict[int, tuple[Point, float]] = {id(slabs[0]): _slab_best(slabs[0])}
 
@@ -153,10 +142,9 @@ def gonzalez_2approx(P: PointSet, k: int) -> tuple[list[Point], float]:
             break  # every skyline point is already a center
         c_new, _ = best_cache[id(pick)]
         centers.append(c_new)
-        left = Slab(pick.left_center, c_new,
-                    [p for p in pick.members if p.x < c_new.x])
-        right = Slab(c_new, pick.right_center,
-                     [p for p in pick.members if p.x > c_new.x])
+        x = pick.members[:, 0]
+        left = Slab(pick.left_center, c_new, pick.members[x < c_new.x])
+        right = Slab(c_new, pick.right_center, pick.members[x > c_new.x])
         idx = slabs.index(pick)
         slabs[idx:idx + 1] = [left, right]
         del best_cache[id(pick)]

@@ -100,6 +100,14 @@ class TestSkylineCommand:
         _, brute_out, _ = run_cli(capsys, "skyline", big_pair, "--algo", "brute")
         assert out == brute_out
 
+    @pytest.mark.parametrize("s", ["\u00b2", "\u0663", "+4", "0", ""])
+    def test_bounded_bad_size_exits_2(self, capsys, stair4, s):
+        # str.isdigit accepts "\u00b2", which int() refuses.
+        code, out, err = run_cli(capsys, "skyline", stair4,
+                                 "--algo", f"bounded:{s}")
+        assert code == 2 and out == ""
+        assert err == "error: use bounded:<s> with s >= 1\n"
+
     def test_sort_is_the_default(self, capsys, tmp_path):
         path = tmp_path / "inst.txt"
         path.write_text("0 0\n2 1\n1 2\n1 1\n")
@@ -136,6 +144,16 @@ class TestDecideCommand:
         _, b, _ = run_cli(capsys, "decide", path, "--k", "1", "--lam", "100",
                           "--grouped")
         assert a == b == "FEASIBLE\n3 0\n"
+
+    def test_negative_kappa_exits_2(self, capsys, stair4):
+        code, out, err = run_cli(capsys, "decide", stair4, "--k", "2",
+                                 "--lam", "1.4143", "--grouped", "-3")
+        assert code == 2 and out == ""
+        assert "KAPPA" in err
+        outs = {run_cli(capsys, "decide", stair4, "--k", "2", "--lam",
+                        "1.4143", "--grouped", *kappa)[:2]
+                for kappa in ([], ["0"], ["2"])}
+        assert outs == {(0, "FEASIBLE\n1 2\n3 0\n")}
 
     def test_zero_lambda_k_equals_n(self, capsys, stair4):
         code, out, _ = run_cli(capsys, "decide", stair4, "--k", "4", "--lam", "0")
@@ -238,6 +256,23 @@ class TestGenCommand:
                                "--param", "scale=abc")
         assert code == 2 and "KEY=NUMBER" in err
 
+    @pytest.mark.parametrize("args", [
+        ["--generator", "clustered", "--param", "clusters=0"],
+        ["--generator", "clustered", "--param", "clusters=-2"],
+        ["--param", "scale=nan"],
+        ["--generator", "staircase", "--param", "step=inf"],
+        ["--param", "foo=1"],
+    ])
+    def test_rejects_invalid_param(self, capsys, args):
+        code, out, err = run_cli(capsys, "gen", "--n", "5", *args)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "gen", "--n", "5", "--out",
+                               str(tmp_path / "missing" / "x.txt"))
+        assert code == 2 and err.startswith("error: ")
+
     def test_rejects_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("PARETO_KCENTER_SEED", "not-a-number")
         code, _, err = run_cli(capsys, "gen", "--n", "5")
@@ -278,6 +313,25 @@ class TestBenchCommand:
                                "--method", "decide-grouped", "--seed", "5")
         assert code == 0
         assert "decide-grouped" in out
+
+    def test_every_method_runs(self, capsys):
+        digests = {}
+        for method in ("skyline-slow", "skyline-optimal",
+                       "decide-materialized", "decide-grouped", "matrix",
+                       "parametric", "gonzalez", "one-center", "approx:0.1"):
+            k = "1" if method == "one-center" else "2"
+            code, out, err = run_cli(capsys, "bench", "--n", "200", "--k", k,
+                                     "--method", method, "--seed", "3")
+            assert code == 0, (method, err)
+            header, row = out.strip().splitlines()
+            digests[method] = row.split("\t")[header.split("\t").index("digest")]
+        assert digests["matrix"] == digests["parametric"]
+
+    def test_unknown_method_exits_2_before_the_table(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--n", "64",
+                                 "--method", "fastest")
+        assert code == 2 and out == ""
+        assert err == "error: unknown method 'fastest'\n"
 
     def test_digest_stable_across_runs(self, capsys):
         def digests():

@@ -1,12 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pareto_kcenter.exact import solve_parametric
 from pareto_kcenter.geom import (LEFT, RIGHT_OR_BEYOND, AlphaCurve, Point,
                                  PointSet, SkylineArray, dist_sq, dominates,
                                  extremes, side_of_alpha)
+from pareto_kcenter.grouped import build
 from pareto_kcenter.oracle import brute_skyline
+from pareto_kcenter.skyline import slow_skyline
+from pareto_kcenter.smallk import approx_solve, gonzalez_2approx
 
 from conftest import random_pointset
 
@@ -70,6 +75,31 @@ class TestPointSet:
             Point(bad, 0.0)
         with pytest.raises(ValueError):
             PointSet.from_coords([(0.0, bad)])
+
+    @pytest.mark.parametrize("row", [[float("nan"), 0.0],
+                                     [float("inf"), 1.0],
+                                     [2.0, -float("inf")]])
+    def test_rejects_non_finite_rows(self, row):
+        with pytest.raises(ValueError):
+            PointSet(np.array([[0.0, 0.0], row]))
+
+    def test_solvers_never_materialize_points(self, rng, monkeypatch):
+        # The solvers work on xy; an array-built set makes no per-row
+        # Point on their way.
+        xy = np.array([(rng.randint(0, 60), rng.randint(0, 60))
+                       for _ in range(300)], dtype=float)
+        P = PointSet(xy)
+
+        def refuse(self):
+            raise AssertionError("per-row points were materialized")
+
+        monkeypatch.setattr(PointSet, "points", property(refuse))
+        slow_skyline(P)
+        build(P, 7)
+        for k in (1, 2, 5):  # 5 ** 4 >= n takes the matrix route
+            solve_parametric(P, k)
+            gonzalez_2approx(P, k)
+            approx_solve(P, k, 0.1)
 
 
 class TestSkylineArray:

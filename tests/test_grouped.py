@@ -1,7 +1,9 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pareto_kcenter.errors import EmptyInput
 from pareto_kcenter.geom import Point, PointSet, dist_sq
@@ -11,7 +13,19 @@ from pareto_kcenter.grouped import (build, next_on_skyline,
 from pareto_kcenter.instrument import counters, sort_charge
 from pareto_kcenter.oracle import brute_skyline
 
-from conftest import STAIR4, random_pointset
+from conftest import SCALES, STAIR4, random_pointset, scaled_pointset
+
+# Raw points for scaled_pointset on a 5 x 5 grid: ties in x and in y are
+# common inside every group.
+TIED_RAW = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                              st.integers(0, 1), st.integers(0, 1)),
+                    min_size=1, max_size=60)
+
+
+def group_points(G, g):
+    """Group g's stored skyline as Points."""
+    lo, hi = G.groups[g - 1] if g else 0, G.groups[g]
+    return tuple(map(Point, G.xs[lo:hi], G.ys[lo:hi]))
 
 
 def candidate_radii(sky):
@@ -30,13 +44,33 @@ class TestBuild:
         P = random_pointset(rng, 10)
         G = build(P, 10)
         assert G.t == 1
-        assert G.groups[0].pts == brute_skyline(P).pts
+        assert group_points(G, 0) == brute_skyline(P).pts
 
     def test_singleton_groups(self):
         P = PointSet.from_coords([(0, 1), (1, 0)])
         G = build(P, 1)
         assert G.t == 2
-        assert [g.pts for g in G.groups] == [(Point(0, 1),), (Point(1, 0),)]
+        assert [group_points(G, g) for g in range(G.t)] == [(Point(0, 1),),
+                                                            (Point(1, 0),)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(SCALES, TIED_RAW, st.data())
+    def test_flat_groups_match_brute_skyline_of_each_chunk(self, scale, raw,
+                                                           data):
+        # Zeros get a random sign: 0.0 and -0.0 tie as y values.
+        xy = scaled_pointset(scale, raw).xy.copy()
+        flip = data.draw(st.lists(st.booleans(), min_size=xy.size,
+                                  max_size=xy.size))
+        xy[np.array(flip).reshape(xy.shape) & (xy == 0.0)] = -0.0
+        P = PointSet(xy)
+        kappa = data.draw(st.integers(1, len(P) + 1))
+        G = build(P, kappa)
+        assert G.t == math.ceil(len(P) / kappa)
+        for g in range(G.t):
+            chunk = PointSet(P.xy[g * kappa:(g + 1) * kappa])
+            want = [(p.x.hex(), p.y.hex()) for p in brute_skyline(chunk)]
+            got = [(p.x.hex(), p.y.hex()) for p in group_points(G, g)]
+            assert got == want
 
     def test_comparison_charge_counts_padded_groups(self):
         # Groups of 3, 3 and 1 points, each charged as m + 2 points.

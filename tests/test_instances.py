@@ -1,7 +1,7 @@
 import pytest
 
-from pareto_kcenter.instances import (InstanceSpec, fixed_skyline_fill,
-                                      generate)
+from pareto_kcenter.instances import (PARAMS, InstanceSpec,
+                                      fixed_skyline_fill, generate)
 from pareto_kcenter.oracle import brute_skyline
 
 
@@ -39,3 +39,23 @@ class TestShapes:
             InstanceSpec("unknown", 10)
         with pytest.raises(ValueError):
             InstanceSpec("staircase", 0)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("clustered", {"clusters": 0}),
+        ("clustered", {"clusters": -2}),
+        ("clustered", {"clusters": 2.5}),
+        ("uniform-square", {"scale": float("nan")}),
+        ("staircase", {"step": float("inf")}),
+        ("uniform-square", {"foo": 1.0}),
+        ("staircase", {"scale": 10.0}),
+    ])
+    def test_rejects_bad_params(self, kind, params):
+        with pytest.raises(ValueError):
+            InstanceSpec(kind, 10, params=params)
+
+    def test_accepts_each_generators_params(self):
+        values = {"scale": 10.0, "clusters": 3.0, "spread": 0.5,
+                  "step": 2.0, "radius": 5.0}
+        for kind, keys in PARAMS.items():
+            spec = InstanceSpec(kind, 50, params={k: values[k] for k in keys})
+            assert len(generate(spec)) == 50
