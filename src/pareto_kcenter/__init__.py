@@ -9,40 +9,20 @@ linear/near-linear routes for very small k, all validated against
 brute-force oracles.
 """
 
-from .decision import DecisionOutcome, decide_grouped, decide_materialized
-from .errors import (DegenerateSpan, EmptyInput, InstanceTooLarge,
-                     InternalInvariantViolation, InvalidEpsilon, NotFound,
-                     RankOutOfRange)
-from .exact import (SolveResult, SortedDistanceMatrix, matrix_select,
-                    multi_array_search, solve_parametric, solve_via_matrix)
-from .geom import (AlphaCurve, LEFT, Point, PointSet, RIGHT_OR_BEYOND,
-                   SkylineArray, dist_sq, dominates, side_of_alpha)
-from .grouped import (GroupedSkyline, build, next_on_skyline,
-                      next_relevant_point, test_membership_and_prev)
-from .instances import GENERATORS, InstanceSpec, generate
-from .instrument import counters
-from .oracle import (brute_matrix_rank, brute_opt, brute_psi_sq,
-                     brute_skyline)
-from .skyline import (BoundedResult, skyline_bounded, skyline_optimal,
-                      slow_skyline)
-from .smallk import (Slab, approx_solve, bisector_extremes, gonzalez_2approx,
-                     solve_one_center)
+from .decision import decide_grouped, decide_materialized
+from .exact import (SortedDistanceMatrix, matrix_select, solve_parametric,
+                    solve_via_matrix)
+from .geom import dist_sq
+from .grouped import build
+from .instances import InstanceSpec, generate
+from .skyline import skyline_bounded, skyline_optimal, slow_skyline
+from .smallk import approx_solve, gonzalez_2approx, solve_one_center
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaCurve", "BoundedResult", "DecisionOutcome", "DegenerateSpan",
-    "EmptyInput", "GENERATORS", "GroupedSkyline", "InstanceSpec",
-    "InstanceTooLarge", "InternalInvariantViolation", "InvalidEpsilon",
-    "LEFT", "NotFound", "Point", "PointSet", "RIGHT_OR_BEYOND",
-    "RankOutOfRange", "SkylineArray", "Slab", "SolveResult",
-    "SortedDistanceMatrix", "approx_solve", "bisector_extremes",
-    "brute_matrix_rank", "brute_opt", "brute_psi_sq", "brute_skyline",
-    "build", "counters", "decide_grouped", "decide_materialized", "dist_sq",
-    "dominates", "generate", "gonzalez_2approx", "matrix_select",
-    "multi_array_search", "next_on_skyline", "next_relevant_point",
-    "side_of_alpha",
-    "skyline_bounded", "skyline_optimal", "slow_skyline",
-    "solve_one_center", "solve_parametric", "solve_via_matrix",
-    "test_membership_and_prev",
+    "InstanceSpec", "SortedDistanceMatrix", "approx_solve", "build",
+    "decide_grouped", "decide_materialized", "dist_sq", "generate",
+    "gonzalez_2approx", "matrix_select", "skyline_bounded", "skyline_optimal",
+    "slow_skyline", "solve_one_center", "solve_parametric", "solve_via_matrix",
 ]

@@ -15,19 +15,21 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import __version__
 from .decision import decide_grouped, decide_materialized
 from .errors import EmptyInput, InvalidEpsilon
-from .exact import solve_parametric, solve_via_matrix
-from .geom import Point, PointSet
+from .exact import SolveResult, solve_parametric, solve_via_matrix
+from .geom import PointSet
 from .grouped import build
 from .instances import DEFAULT_SEED, GENERATORS, InstanceSpec, generate
 from .instrument import counters
 from .oracle import brute_skyline
 from .pointio import PointFileError, fmt_coord, read_point_file, write_points
 from .skyline import skyline_bounded, skyline_optimal, slow_skyline
-from .smallk import approx_solve, gonzalez_2approx, solve_one_center
+from .smallk import (approx_solve, check_epsilon, gonzalez_2approx,
+                     solve_one_center)
 from .svgplot import render_svg
 
 EXIT_OK = 0
@@ -36,26 +38,32 @@ EXIT_INPUT = 2
 EXIT_INCOMPLETE = 3
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("PARETO_KCENTER_SEED")
-    if raw is None:
-        return DEFAULT_SEED
+class InputError(Exception):
+    """A bad argument or input: main prints "error: <message>", exits 2."""
+
+
+def _seed(given: int | None) -> int:
+    """--seed when given, else PARETO_KCENTER_SEED, else the default."""
+    raw = given if given is not None else os.environ.get(
+        "PARETO_KCENTER_SEED", DEFAULT_SEED)
     try:
         return int(raw)
     except ValueError:
-        print(f"error: bad PARETO_KCENTER_SEED: {raw!r}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        raise InputError(f"bad PARETO_KCENTER_SEED: {raw!r}")
+
+
+def _at_least_1(name: str, *values: int) -> None:
+    if min(values) < 1:
+        raise InputError(f"{name} must be >= 1")
 
 
 def _load(path: str) -> PointSet:
     try:
         P = read_point_file(path)
     except (OSError, PointFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        raise InputError(str(exc))
     if len(P) == 0:
-        print("error: no points in input", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        raise InputError("no points in input")
     return P
 
 
@@ -118,115 +126,150 @@ class RunReport:
         }
 
 
-def _run_solver(P: PointSet, k: int, method: str):
-    """Returns (tag, lambda_star_sq, centers)."""
-    if method == "matrix":
-        res = solve_via_matrix(P, k)
-        return res.algorithm, res.lambda_star_sq, res.centers
-    if method in ("parametric", "auto"):
-        res = solve_parametric(P, k)
-        return res.algorithm, res.lambda_star_sq, res.centers
-    if method == "one-center":
-        if k != 1:
-            print("error: one-center requires k=1", file=sys.stderr)
-            raise SystemExit(EXIT_INPUT)
-        res = solve_one_center(P)
-        return res.algorithm, res.lambda_star_sq, res.centers
-    if method == "gonzalez":
-        centers, psi_sq = gonzalez_2approx(P, k)
-        return "gonzalez", psi_sq, tuple(centers)
-    if method.startswith("approx"):
-        parts = method.split(":", 1)
-        if len(parts) != 2:
-            print("error: approx needs an epsilon, e.g. approx:0.1",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_INPUT)
-        try:
-            eps = float(parts[1])
-        except ValueError:
-            print(f"error: bad epsilon {parts[1]!r}", file=sys.stderr)
-            raise SystemExit(EXIT_INPUT)
-        centers, psi_sq = approx_solve(P, k, eps)
-        return f"approx:{parts[1]}", psi_sq, tuple(centers)
-    print(f"error: unknown method {method!r}", file=sys.stderr)
-    raise SystemExit(EXIT_INPUT)
+@dataclass(frozen=True)
+class Route:
+    """An entry of a name table.  ``run`` looks the package function up
+    in this module when called, so a rebound name (span tracing rebinds
+    them) is honoured.  A key "name:<arg>" takes a parameter, which
+    ``parse`` reads from the text after the colon (None if absent)."""
+
+    run: Callable
+    guarantee: str = "exact"  # a solver's radius against opt(P, k)
+    parse: Callable | None = None
+    max_k: int | None = None
+
+
+def _lookup(table: dict, spec: str, what: str):
+    """(route, parsed parameter) for the name spec in table."""
+    name, colon, text = spec.partition(":")
+    for key, route in table.items():
+        if route.parse and key.startswith(f"{name}:<"):
+            return route, route.parse(text if colon else None)
+        if key == spec:
+            return route, None
+    raise InputError(f"unknown {what} {spec!r}")
+
+
+def _epsilon(text: str | None) -> float:
+    if text is None:
+        raise InputError("approx needs an epsilon, e.g. approx:0.1")
+    try:
+        eps = float(text)
+    except ValueError:
+        raise InputError(f"bad epsilon {text!r}")
+    check_epsilon(eps)
+    return eps
+
+
+def _size(text: str | None) -> int:
+    # str.isdigit alone accepts "\u00b2", which int() refuses.
+    if text is None or not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise InputError("use bounded:<s> with s >= 1")
+    return int(text)
+
+
+# solve/plot/bench --method: run(P, k, parameter) gives a SolveResult or
+# (centers, radius).  solve_parametric makes auto's choice of route.
+SOLVERS = {
+    "auto": Route(lambda P, k, _: solve_parametric(P, k)),
+    "matrix": Route(lambda P, k, _: solve_via_matrix(P, k)),
+    "parametric": Route(lambda P, k, _: solve_parametric(P, k)),
+    "one-center": Route(lambda P, k, _: solve_one_center(P), max_k=1),
+    "gonzalez": Route(lambda P, k, _: gonzalez_2approx(P, k), "factor 2"),
+    "approx:<eps>": Route(lambda P, k, eps: approx_solve(P, k, eps), "1+eps",
+                          _epsilon),
+}
+
+# skyline --algo: run(P, parameter) gives the skyline, or None when the
+# bounded probe finds more than s points.
+SKYLINES = {
+    "sort": Route(lambda P, _: slow_skyline(P)),
+    "optimal": Route(lambda P, _: skyline_optimal(P)),
+    "brute": Route(lambda P, _: brute_skyline(P)),
+    "bounded:<s>": Route(lambda P, s: skyline_bounded(P, s).skyline,
+                         parse=_size),
+}
+
+SOLVER_HELP = " | ".join(f"{name} ({route.guarantee})"
+                         for name, route in SOLVERS.items())
+
+
+def solver(method: str, ks) -> Callable:
+    """run(P, k) -> (tag, lambda_sq, centers) for a --method name, once
+    every k in ks, the name and its parameter have been checked."""
+    _at_least_1("k", *ks)
+    route, param = _lookup(SOLVERS, method, "method")
+    if route.max_k is not None and max(ks) > route.max_k:
+        raise InputError(f"{method} requires k={route.max_k}")
+
+    def run(P: PointSet, k: int):
+        out = route.run(P, k, param)
+        if isinstance(out, SolveResult):
+            return out.algorithm, out.lambda_star_sq, out.centers
+        return method, out[1], out[0]  # out is (centers, radius)
+    return run
+
+
+def _timed(fn, *args):
+    """fn(*args) on reset counters: (result, seconds, counter snapshot)."""
+    counters.reset()
+    started = time.perf_counter()
+    result = fn(*args)
+    seconds = time.perf_counter() - started
+    return result, seconds, counters.snapshot()
+
+
+def _decide(P: PointSet, k: int, lam_sq: float, kappa: int | None):
+    """The grouped decision with kappa clamped to 1..n, or with kappa
+    None the materialized one on the production skyline."""
+    if kappa is None:
+        return decide_materialized(slow_skyline(P), k, lam_sq)
+    return decide_grouped(build(P, min(max(kappa, 1), len(P))), k, lam_sq)
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1:
-        print("error: n must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
+    seed = _seed(args.seed)
+    _at_least_1("n", args.n)
     params = {}
     for kv in args.param:
-        key, sep, val = kv.partition("=")
+        key, _, val = kv.partition("=")  # no "=" leaves val empty
         try:
-            if not sep:
-                raise ValueError
             params[key] = float(val)
         except ValueError:
-            print(f"error: bad --param {kv!r}, expected KEY=NUMBER",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise InputError(f"bad --param {kv!r}, expected KEY=NUMBER")
     try:
-        P = generate(InstanceSpec(args.generator, args.n, args.seed, params))
+        P = generate(InstanceSpec(args.generator, args.n, seed, params))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 write_points(P.points, fh)
         else:
             write_points(P.points, sys.stdout)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError(str(exc))
     return EXIT_OK
 
 
 def cmd_skyline(args) -> int:
     P = _load(args.input)
-    algo = args.algo
-    if algo == "sort":
-        sky = slow_skyline(P).pts
-    elif algo == "optimal":
-        sky = skyline_optimal(P).pts
-    elif algo == "brute":
-        sky = brute_skyline(P).pts
-    elif algo.startswith("bounded"):
-        parts = algo.split(":", 1)
-        if (len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit())
-                or int(parts[1]) < 1):
-            print("error: use bounded:<s> with s >= 1", file=sys.stderr)
-            return EXIT_INPUT
-        result = skyline_bounded(P, int(parts[1]))
-        if not result.complete:
-            print("incomplete")
-            return EXIT_INCOMPLETE
-        sky = result.skyline.pts
-    else:
-        print(f"error: unknown algorithm {algo!r}", file=sys.stderr)
-        return EXIT_INPUT
+    route, param = _lookup(SKYLINES, args.algo, "algorithm")
+    sky = route.run(P, param)
+    if sky is None:
+        print("incomplete")
+        return EXIT_INCOMPLETE
     print(len(sky))
-    write_points(sky, sys.stdout)
+    write_points(sky.pts, sys.stdout)
     return EXIT_OK
 
 
 def cmd_decide(args) -> int:
     P = _load(args.input)
-    if args.k < 1:
-        print("error: k must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
+    _at_least_1("k", args.k)
     if not args.lam >= 0:  # also rejects NaN
-        print("error: lambda must be >= 0", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("lambda must be >= 0")
     if args.grouped is not None and args.grouped < 0:
-        print("error: KAPPA must be >= 1 (0 or omitted means k)",
-              file=sys.stderr)
-        return EXIT_INPUT
-    lam_sq = args.lam * args.lam
-    if args.grouped is not None:
-        kappa = args.grouped if args.grouped > 0 else args.k
-        kappa = min(max(kappa, 1), len(P))
-        out = decide_grouped(build(P, kappa), args.k, lam_sq)
-    else:
-        out = decide_materialized(slow_skyline(P), args.k, lam_sq)
+        raise InputError("KAPPA must be >= 1 (0 or omitted means k)")
+    kappa = None if args.grouped is None else args.grouped or args.k
+    out = _decide(P, args.k, args.lam * args.lam, kappa)
     if out.feasible:
         print("FEASIBLE")
         write_points(out.centers, sys.stdout)
@@ -237,16 +280,10 @@ def cmd_decide(args) -> int:
 
 def cmd_solve(args) -> int:
     P = _load(args.input)
-    if args.k < 1:
-        print("error: k must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
-    counters.reset()
-    started = time.perf_counter()
-    tag, lam_sq, centers = _run_solver(P, args.k, args.method)
-    elapsed_ms = (time.perf_counter() - started) * 1e3
-    snap = counters.snapshot()
+    run = solver(args.method, [args.k])
+    (tag, lam_sq, centers), seconds, snap = _timed(run, P, args.k)
     report = RunReport(tag, len(P), len(slow_skyline(P)), args.k,
-                       lam_sq, tuple(centers), elapsed_ms, snap)
+                       lam_sq, tuple(centers), seconds * 1e3, snap)
     if args.json:
         print(json.dumps(report.to_json_obj(), sort_keys=True))
     else:
@@ -255,104 +292,80 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _bench_once(P: PointSet, k: int, method: str):
-    """Returns (h, seconds, counter snapshot, digest)."""
-    counters.reset()
-    started = time.perf_counter()
-    if method == "skyline-slow":
-        sky = slow_skyline(P)
-        payload = (tuple(sky.pts), 0.0)
-    elif method == "skyline-optimal":
-        sky = skyline_optimal(P)
-        payload = (tuple(sky.pts), 0.0)
-    elif method in ("decide-materialized", "decide-grouped"):
-        _, psi_sq = gonzalez_2approx(P, k)
-        lam_sq = 0.98 * psi_sq / 4.0  # just below opt/2-ish: forces k rounds
-        counters.reset()
-        started = time.perf_counter()
-        if method == "decide-grouped":
-            G = build(P, min(max(k, 1), len(P)))
-            out = decide_grouped(G, k, lam_sq)
-        else:
-            out = decide_materialized(skyline_optimal(P), k, lam_sq)
-        payload = (out.centers, lam_sq)
-    else:
-        tag, lam_sq, centers = _run_solver(P, k, method)
-        payload = (centers, lam_sq)
-    elapsed = time.perf_counter() - started
-    snap = counters.snapshot()  # before the h recomputation below
-    h = len(slow_skyline(P))
-    return h, elapsed, snap, _digest(payload[0], payload[1])
+def _bench_radius(P: PointSet, k: int) -> float:
+    _, psi_sq = gonzalez_2approx(P, k)
+    return 0.98 * psi_sq / 4.0  # just below opt/2-ish: forces k rounds
 
 
-BENCH_METHODS = ("skyline-slow", "skyline-optimal", "decide-materialized",
-                 "decide-grouped", "matrix", "parametric", "auto", "gonzalez",
-                 "one-center")  # and approx:<eps>
+# bench --method, beyond the solvers: (untimed set-up that picks the
+# radius, or None; timed call(P, k, radius) -> (lambda_sq, centers)).
+BENCH_JOBS = {
+    **{f"skyline-{name}": (None, lambda P, k, _, r=route:
+                           (0.0, r.run(P, None).pts))
+       for name, route in SKYLINES.items() if route.parse is None},
+    "decide-materialized": (_bench_radius, lambda P, k, lam_sq:
+                            (lam_sq, _decide(P, k, lam_sq, None).centers)),
+    "decide-grouped": (_bench_radius, lambda P, k, lam_sq:
+                       (lam_sq, _decide(P, k, lam_sq, k).centers)),
+}
 
 BENCH_COUNTERS = ("skyline_comparisons", "binary_searches",
                   "binary_search_probes", "dist_evals", "decide_calls")
 
 
 def cmd_bench(args) -> int:
+    seed = _seed(args.seed)
     try:
         ns = [int(v) for v in args.n.split(",")]
         ks = [int(v) for v in args.k.split(",")]
     except ValueError:
-        print("error: --n/--k must be comma-separated integers",
-              file=sys.stderr)
-        return EXIT_INPUT
-    if any(n < 1 for n in ns):
-        print("error: n must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
-    if any(k < 1 for k in ks):
-        print("error: k must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
-    if args.method not in BENCH_METHODS and not args.method.startswith("approx:"):
-        print(f"error: unknown method {args.method!r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("--n/--k must be comma-separated integers")
+    _at_least_1("n", *ns)
+    _at_least_1("k", *ks)
+    if args.method in BENCH_JOBS:
+        setup, timed = BENCH_JOBS[args.method]
+    else:  # a solver: drop the tag of (tag, lambda_sq, centers)
+        run = solver(args.method, ks)
+        setup, timed = None, lambda P, k, _: run(P, k)[1:]
     cols = ["gen", "n", "h", "k", "method", "ms", *BENCH_COUNTERS,
             "t_ratio", "c_ratio", "digest"]
     print("\t".join(cols))
-    prev: dict[tuple, tuple[float, int]] = {}
+    lead_counter = args.lead_counter or (
+        "binary_search_probes" if "decide" in args.method else BENCH_COUNTERS[0])
+    prev: dict[int, tuple[float, int, int]] = {}  # k -> last (secs, lead, n)
     for k in ks:
         for n in ns:
-            spec = InstanceSpec(args.generator, n, args.seed)
-            P = generate(spec)
-            h, secs, snap, digest = _bench_once(P, k, args.method)
-            default_lead = ("binary_search_probes" if "decide" in args.method
-                            else BENCH_COUNTERS[0])
-            lead = snap.get(args.lead_counter or default_lead, 0)
-            key = (args.generator, k, args.method)
+            P = generate(InstanceSpec(args.generator, n, seed))
+            lam_sq = setup(P, k) if setup else 0.0
+            (lam_sq, centers), secs, snap = _timed(timed, P, k, lam_sq)
+            h = len(slow_skyline(P))  # after the snapshot
+            lead = snap.get(lead_counter, 0)
             t_ratio = c_ratio = ""
-            if key in prev and prev[key][2] * 2 == n:
-                p_secs, p_lead, _ = prev[key]
+            if k in prev and prev[k][2] * 2 == n:
+                p_secs, p_lead, _ = prev[k]
                 if p_secs > 0:
                     t_ratio = f"{secs / p_secs:.2f}"
                 if p_lead > 0:
                     c_ratio = f"{lead / p_lead:.2f}"
-            prev[key] = (secs, lead, n)
+            prev[k] = (secs, lead, n)
             row = [args.generator, str(n), str(h), str(k), args.method,
                    f"{secs * 1e3:.2f}",
                    *[str(snap.get(c, 0)) for c in BENCH_COUNTERS],
-                   t_ratio, c_ratio, digest]
+                   t_ratio, c_ratio, _digest(centers, lam_sq)]
             print("\t".join(row))
     return EXIT_OK
 
 
 def cmd_plot(args) -> int:
     P = _load(args.input)
-    if args.k < 1:
-        print("error: k must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
-    tag, lam_sq, centers = _run_solver(P, args.k, args.method)
+    tag, lam_sq, centers = solver(args.method, [args.k])(P, args.k)
     sky = slow_skyline(P)
     doc = render_svg(P, sky, centers, math.sqrt(lam_sq))
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(doc)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError(str(exc))
     print(f"wrote {args.out} method={tag} lambda_star={math.sqrt(lam_sq):.12f}")
     return EXIT_OK
 
@@ -367,7 +380,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a seeded instance")
     p.add_argument("--generator", choices=GENERATORS, default="uniform-square")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_env_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--param", action="append", default=[],
                    metavar="KEY=VAL", help="generator parameter")
     p.add_argument("--out", default=None)
@@ -376,8 +389,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("skyline", help="compute the skyline of a point file")
     p.add_argument("input")
     p.add_argument("--algo", default="sort",
-                   help="sort (production) | bounded:<s> | optimal "
-                        "(the paper's O(n log h) route) | brute")
+                   help=" | ".join(SKYLINES) + "; sort is the production "
+                        "route, optimal the paper's O(n log h) one")
     p.set_defaults(func=cmd_skyline)
 
     p = sub.add_parser("decide", help="is opt(P,k) <= lambda?")
@@ -393,9 +406,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute opt(P,k) and centers")
     p.add_argument("input")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--method", default="auto",
-                   help="matrix | parametric | auto | approx:<eps> | "
-                        "gonzalez | one-center")
+    p.add_argument("--method", default="auto", help=SOLVER_HELP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -404,8 +415,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma-separated sizes")
     p.add_argument("--k", default="2", help="comma-separated k values")
     p.add_argument("--method", default="skyline-optimal",
-                   help=" | ".join(BENCH_METHODS) + " | approx:<eps>")
-    p.add_argument("--seed", type=int, default=_env_seed())
+                   help=" | ".join(BENCH_JOBS) + " | " + SOLVER_HELP)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lead-counter", default=None,
                    help="counter for the c_ratio column")
     p.set_defaults(func=cmd_bench)
@@ -413,7 +424,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="solve and render an SVG view")
     p.add_argument("input")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--method", default="auto")
+    p.add_argument("--method", default="auto", help=SOLVER_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plot)
 
@@ -424,7 +435,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EmptyInput, InvalidEpsilon) as exc:
+    except (InputError, EmptyInput, InvalidEpsilon) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -30,8 +30,6 @@ from .decision import decide_grouped, decide_materialized
 from .instrument import counters
 from .skyline import skyline_optimal
 
-TOUCHES = "matrix_entries_touched"
-
 
 @dataclass(frozen=True, slots=True)
 class SolveResult:
@@ -124,7 +122,7 @@ def matrix_select(D: SortedDistanceMatrix, rank: int) -> float:
             raise InternalInvariantViolation("selection rank drifted out of range")
 
     keys = sorted(ent(i, j) for (i, j) in active)
-    counters.add(TOUCHES, len(cache))
+    counters.add("matrix_entries_touched", len(cache))
     if not 1 <= a <= len(keys):
         raise InternalInvariantViolation("selection finished with bad rank")
     return keys[a - 1][0]

@@ -1,4 +1,4 @@
-"""Planar points, dominance, tie-breaking orders and the alpha-curve test.
+"""Planar points, the deduplicated point set, tie-breaks and staircases.
 
 Conventions used throughout the package:
 
@@ -21,9 +21,6 @@ import numpy as np
 
 from .errors import EmptyInput
 
-LEFT = "left"
-RIGHT_OR_BEYOND = "right_or_beyond"
-
 
 @dataclass(frozen=True, slots=True)
 class Point:
@@ -33,10 +30,6 @@ class Point:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite coordinate: ({self.x}, {self.y})")
-
-
-def dominates(p: Point, q: Point) -> bool:
-    return p.x >= q.x and p.y >= q.y
 
 
 def dist_sq(p: Point, q: Point) -> float:
@@ -117,10 +110,6 @@ class PointSet:
                                      self.xy[:, 1].tolist()))
         return self._points
 
-    @property
-    def n(self) -> int:
-        return len(self.xy)
-
     def __len__(self) -> int:
         return len(self.xy)
 
@@ -163,10 +152,6 @@ class SkylineArray:
         self.pts: tuple[Point, ...] = tuple(pts)
         self.xs: list[float] = [p.x for p in self.pts]
 
-    @property
-    def h(self) -> int:
-        return len(self.pts)
-
     def __len__(self) -> int:
         return len(self.pts)
 
@@ -179,9 +164,6 @@ class SkylineArray:
     def __eq__(self, other) -> bool:
         return isinstance(other, SkylineArray) and self.pts == other.pts
 
-    def __hash__(self):
-        return hash(self.pts)
-
     def __repr__(self) -> str:
         return f"SkylineArray({list(self.pts)!r})"
 
@@ -189,41 +171,3 @@ class SkylineArray:
         for a, b in zip(self.pts, self.pts[1:]):
             if not (a.x < b.x and a.y > b.y):
                 raise ValueError(f"not a staircase: {a} then {b}")
-
-
-@dataclass(frozen=True, slots=True)
-class AlphaCurve:
-    """Covered-and-right boundary for a center and a squared radius.
-
-    The curve runs: vertical ray up from (x+r, y), then the quarter circle
-    of radius r clockwise to (x, y-r), then a vertical ray down.  Points on
-    the curve count as left (closed region).  Parameterized by the squared
-    radius so that every side test reduces to exact squared comparisons.
-    """
-
-    center: Point
-    radius_sq: float
-
-    def __post_init__(self):
-        if self.radius_sq < 0:
-            raise ValueError("radius_sq must be non-negative")
-
-    @property
-    def radius(self) -> float:
-        return math.sqrt(self.radius_sq)
-
-
-def side_of_alpha(q: Point, a: AlphaCurve) -> str:
-    """LEFT if q is on or left of the curve, RIGHT_OR_BEYOND otherwise.
-
-    Along any staircase the LEFT answers form a prefix, which is what the
-    per-group binary searches rely on.
-    """
-    p = a.center
-    dx = q.x - p.x
-    if dx <= 0:
-        return LEFT
-    if q.y >= p.y:
-        return LEFT if dx * dx <= a.radius_sq else RIGHT_OR_BEYOND
-    dy = q.y - p.y
-    return LEFT if dx * dx + dy * dy <= a.radius_sq else RIGHT_OR_BEYOND

@@ -36,14 +36,13 @@ class GroupedSkyline:
     holds the end offset of each group.
     """
 
-    __slots__ = ("xs", "ys", "groups", "t", "kappa", "p0", "q0")
+    __slots__ = ("xs", "ys", "groups", "t", "p0", "q0")
 
-    def __init__(self, xs, ys, groups, kappa, p0, q0):
+    def __init__(self, xs, ys, groups, p0, q0):
         self.xs: list[float] = xs
         self.ys: list[float] = ys
         self.groups: list[int] = groups
         self.t: int = len(groups)
-        self.kappa: int = kappa
         self.p0: Point = p0
         self.q0: Point = q0
 
@@ -118,7 +117,7 @@ def build(P: PointSet, kappa: int) -> GroupedSkyline:
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
     p0, q0 = extremes(P)
-    return GroupedSkyline(*group_skylines(P.xy, kappa), kappa, p0, q0)
+    return GroupedSkyline(*group_skylines(P.xy, kappa), p0, q0)
 
 
 def next_on_skyline(G: GroupedSkyline, x0: float) -> Point | None:
@@ -174,10 +173,12 @@ test_membership_and_prev.__test__ = False  # keep pytest collection away
 def next_relevant_point(G: GroupedSkyline, p: Point, lambda_sq: float) -> Point:
     """Farthest global-skyline point q with x(q) >= x(p) within the radius.
 
-    Per group, a binary search against the alpha curve of p and the
-    radius (side_of_alpha's test, inlined) yields the last point on the
-    covered side and its successor; the membership dichotomy then picks
-    the right global answer.  Requires p on the global skyline.
+    Per group, a binary search finds the last covered point and its
+    successor, and the membership dichotomy picks the global answer.
+    Requires p on the global skyline.  Covered means left of the paper's
+    alpha curve: not right of p, or within the radius.  The curve's ray
+    up from (x(p) + r, y(p)) is never met, since a point right of p and
+    as high would dominate p.  Covered points form a prefix of a group.
     """
     if p == G.q0:
         return p
@@ -197,14 +198,8 @@ def next_relevant_point(G: GroupedSkyline, p: Point, lambda_sq: float) -> Point:
             mid = (lo + hi) // 2
             probes += 1
             dx = xs[mid] - px
-            if dx <= 0:
-                covered = True
-            elif ys[mid] >= py:
-                covered = dx * dx <= lambda_sq
-            else:
-                dy = ys[mid] - py
-                covered = dx * dx + dy * dy <= lambda_sq
-            if covered:
+            dy = ys[mid] - py
+            if dx <= 0 or dx * dx + dy * dy <= lambda_sq:
                 lo = mid
             else:
                 hi = mid

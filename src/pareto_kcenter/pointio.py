@@ -21,7 +21,6 @@ from .geom import Point, PointSet
 
 class PointFileError(ValueError):
     def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
         super().__init__(message if line_no is None
                          else f"line {line_no}: {message}")
 

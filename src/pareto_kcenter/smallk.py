@@ -68,7 +68,7 @@ def bisector_extremes(points, p0: Point, q0: Point) -> tuple[Point, Point]:
     linear scans; the skyline is never built.  Ties break toward
     smaller x.
     """
-    if p0 == q0:
+    if dist_sq(p0, q0) == 0.0:  # equal, or their distance underflows
         raise DegenerateSpan("anchors coincide")
     if not isinstance(points, np.ndarray):
         points = np.array([(p.x, p.y) for p in points],
@@ -98,7 +98,7 @@ def solve_one_center(P: PointSet) -> SolveResult:
     minimize the larger distance to the skyline extremes."""
     P.require_nonempty()
     p0, q0 = extremes(P)
-    if p0 == q0:
+    if dist_sq(p0, q0) == 0.0:  # p0 == q0, or their distance underflows
         return SolveResult(0.0, (p0,), "one-center")
     x = P.xy[:, 0]
     strip = P.xy[(x >= p0.x) & (x <= q0.x)]
@@ -122,7 +122,7 @@ def gonzalez_2approx(P: PointSet, k: int) -> tuple[list[Point], float]:
         res = solve_one_center(P)
         return list(res.centers), res.lambda_star_sq
     p0, q0 = extremes(P)
-    if p0 == q0:
+    if dist_sq(p0, q0) == 0.0:  # p0 == q0, or their distance underflows
         return [p0], 0.0
     centers = [p0, q0]
     x = P.xy[:, 0]
@@ -155,12 +155,16 @@ def gonzalez_2approx(P: PointSet, k: int) -> tuple[list[Point], float]:
     return centers, psi_sq
 
 
+def check_epsilon(eps: float) -> None:
+    if not 0.0 < eps < 1.0:
+        raise InvalidEpsilon(f"eps must be in (0, 1), got {eps}")
+
+
 def approx_solve(P: PointSet, k: int, eps: float) -> tuple[list[Point], float]:
     """(1+eps)-approximation: bracket the optimum with the farthest-first
     radius, then binary search a grid of ~2/eps radii with the grouped
     decision procedure.  Each grid radius is computed when probed."""
-    if not 0.0 < eps < 1.0:
-        raise InvalidEpsilon(f"eps must be in (0, 1), got {eps}")
+    check_epsilon(eps)
     P.require_nonempty()
     if k < 1:
         raise ValueError("k must be >= 1")

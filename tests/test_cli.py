@@ -5,10 +5,13 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pareto_kcenter.cli import main
-from pareto_kcenter.oracle import brute_opt
+from pareto_kcenter.cli import SOLVERS, _digest, main, solver
+from pareto_kcenter.oracle import brute_opt, brute_psi_sq, brute_skyline
 from pareto_kcenter.pointio import read_point_file
+
+from conftest import RAW_POINTS, SCALES, scaled_pointset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -117,6 +120,12 @@ class TestSkylineCommand:
         code, _, err = run_cli(capsys, "skyline", str(path), "--algo", "slow")
         assert code == 2 and "unknown algorithm" in err
 
+    def test_near_miss_algorithm_is_unknown(self, capsys, stair4):
+        code, out, err = run_cli(capsys, "skyline", stair4,
+                                 "--algo", "boundedfoo")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown algorithm 'boundedfoo'\n"
+
 
 class TestDecideCommand:
     def test_feasible(self, capsys, stair4):
@@ -212,6 +221,13 @@ class TestSolveCommand:
         assert code == 2
         assert "epsilon" in err
 
+    @pytest.mark.parametrize("method", ["approxfoo", "matrix:2", "auto:"])
+    def test_near_miss_method_is_unknown(self, capsys, stair4, method):
+        code, out, err = run_cli(capsys, "solve", stair4, "--k", "2",
+                                 "--method", method)
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown method {method!r}\n"
+
     def test_approx_runs(self, capsys, stair4):
         code, out, _ = run_cli(capsys, "solve", stair4, "--k", "2",
                                "--method", "approx:0.5")
@@ -278,6 +294,16 @@ class TestGenCommand:
         code, _, err = run_cli(capsys, "gen", "--n", "5")
         assert code == 2 and "PARETO_KCENTER_SEED" in err
 
+    def test_bad_env_seed_spares_commands_without_a_seed(self, capsys,
+                                                         monkeypatch, stair4):
+        monkeypatch.setenv("PARETO_KCENTER_SEED", "not-a-number")
+        code, out, _ = run_cli(capsys, "skyline", stair4)
+        assert code == 0 and out.startswith("4\n")
+        code, out, _ = run_cli(capsys, "--version")
+        assert code == 0 and out.strip()
+        code, _, _ = run_cli(capsys, "gen", "--n", "5", "--seed", "3")
+        assert code == 0
+
 
 class TestBenchCommand:
     def test_table_shape_and_ratio(self, capsys):
@@ -316,7 +342,7 @@ class TestBenchCommand:
 
     def test_every_method_runs(self, capsys):
         digests = {}
-        for method in ("skyline-slow", "skyline-optimal",
+        for method in ("skyline-sort", "skyline-optimal", "skyline-brute",
                        "decide-materialized", "decide-grouped", "matrix",
                        "parametric", "gonzalez", "one-center", "approx:0.1"):
             k = "1" if method == "one-center" else "2"
@@ -332,6 +358,19 @@ class TestBenchCommand:
                                  "--method", "fastest")
         assert code == 2 and out == ""
         assert err == "error: unknown method 'fastest'\n"
+
+    @pytest.mark.parametrize("method, k, err", [
+        ("approx:abc", "2", "bad epsilon 'abc'"),
+        ("approx:0", "2", "eps must be in (0, 1), got 0.0"),
+        ("approx", "2", "approx needs an epsilon, e.g. approx:0.1"),
+        ("one-center", "1,2", "one-center requires k=1"),
+        ("skyline-slow", "2", "unknown method 'skyline-slow'"),
+    ])
+    def test_bad_method_exits_2_before_the_table(self, capsys, method, k,
+                                                 err):
+        code, out, got = run_cli(capsys, "bench", "--n", "64", "--k", k,
+                                 "--method", method)
+        assert (code, out, got) == (2, "", f"error: {err}\n")
 
     def test_digest_stable_across_runs(self, capsys):
         def digests():
@@ -417,3 +456,34 @@ class TestGoldenSnapshots:
         run_cli(capsys, "plot", str(GOLDEN / "staircase4.txt"), "--k", "2",
                 "--method", "matrix", "--out", str(out_path))
         assert out_path.read_bytes() == (GOLDEN / "staircase4.svg").read_bytes()
+
+
+# As perfbench/certify.py: the approximation factors hold in real
+# arithmetic, and a reported radius went through a sqrt and a square.
+FACTOR_SLACK = 1e-9
+TABLE_EPS = 0.25
+
+
+@pytest.mark.parametrize("name", list(SOLVERS))
+@settings(max_examples=40, deadline=None)
+@given(scale=SCALES, raw=RAW_POINTS, data=st.data())
+def test_every_solver_table_entry_keeps_its_guarantee(name, scale, raw, data):
+    route = SOLVERS[name]
+    k = data.draw(st.integers(1, route.max_k or 4), label="k")
+    P = scaled_pointset(scale, raw)
+    sky = brute_skyline(P).pts
+    opt = brute_opt(P, k)
+    run = solver(name.replace("<eps>", str(TABLE_EPS)), [k])
+    tag, lam_sq, centers = run(P, k)
+    assert len(centers) <= k and set(centers) <= set(sky)
+    assert brute_psi_sq(sky, centers) <= lam_sq
+    if route.guarantee == "exact":
+        assert lam_sq.hex() == opt.hex()
+    else:
+        factor = {"factor 2": 2.0, "1+eps": 1.0 + TABLE_EPS}[route.guarantee]
+        assert opt <= lam_sq <= factor * factor * opt * (1 + FACTOR_SLACK)
+    if tag in ("matrix", "parametric"):
+        # The routes that certify with the greedy decision also agree on
+        # the centers; one-center picks its own optimal center.
+        _, ref_sq, ref_centers = solver("matrix", [k])(P, k)
+        assert _digest(centers, lam_sq) == _digest(ref_centers, ref_sq)

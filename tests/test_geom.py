@@ -1,40 +1,14 @@
-import random
-
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from pareto_kcenter.exact import solve_parametric
-from pareto_kcenter.geom import (LEFT, RIGHT_OR_BEYOND, AlphaCurve, Point,
-                                 PointSet, SkylineArray, dist_sq, dominates,
-                                 extremes, side_of_alpha)
+from pareto_kcenter.geom import Point, PointSet, SkylineArray, dist_sq, extremes
 from pareto_kcenter.grouped import build
 from pareto_kcenter.oracle import brute_skyline
 from pareto_kcenter.skyline import slow_skyline
 from pareto_kcenter.smallk import approx_solve, gonzalez_2approx
 
 from conftest import random_pointset
-
-points = st.builds(Point,
-                   st.integers(min_value=-50, max_value=50).map(float),
-                   st.integers(min_value=-50, max_value=50).map(float))
-
-
-class TestDominates:
-    def test_both_larger(self):
-        assert dominates(Point(2, 2), Point(1, 1))
-
-    def test_point_dominates_itself(self):
-        assert dominates(Point(1, 1), Point(1, 1))
-
-    def test_incomparable(self):
-        assert not dominates(Point(1, 3), Point(3, 1))
-        assert not dominates(Point(3, 1), Point(1, 3))
-
-    @given(points, points)
-    def test_antisymmetry(self, p, q):
-        if dominates(p, q) and dominates(q, p):
-            assert p == q
 
 
 class TestExtremes:
@@ -63,7 +37,7 @@ class TestDistSq:
 class TestPointSet:
     def test_deduplicates(self):
         P = PointSet.from_coords([(1, 1), (2, 2), (1, 1)])
-        assert P.n == 2
+        assert len(P) == 2
 
     def test_preserves_input_order(self):
         P = PointSet.from_coords([(3, 0), (1, 2), (3, 0), (0, 5)])
@@ -118,48 +92,3 @@ class TestSkylineArray:
                 for j in range(i + 1, len(sky) - 1):
                     assert dist_sq(sky[i], sky[j]) < dist_sq(sky[i], sky[j + 1])
                     break  # one pair per i keeps this O(h)
-
-
-class TestAlphaCurve:
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            AlphaCurve(Point(0, 0), -1.0)
-
-    def test_radius_is_sqrt(self):
-        assert AlphaCurve(Point(0, 0), 4.0).radius == 2.0
-
-    def test_inside_quarter_circle(self):
-        a = AlphaCurve(Point(0, 3), 2.25)
-        assert side_of_alpha(Point(1, 2), a) == LEFT  # dist_sq 2 <= 2.25
-
-    def test_outside_quarter_circle(self):
-        a = AlphaCurve(Point(0, 3), 2.25)
-        assert side_of_alpha(Point(2, 1), a) == RIGHT_OR_BEYOND  # dist_sq 8
-
-    def test_point_on_curve_is_left(self):
-        p = Point(4, 7)
-        lam = 1.5
-        a = AlphaCurve(p, lam * lam)
-        assert side_of_alpha(Point(p.x + lam, p.y), a) == LEFT
-        assert side_of_alpha(Point(p.x, p.y - lam), a) == LEFT
-
-    def test_high_point_against_vertical_ray(self):
-        a = AlphaCurve(Point(0, 0), 4.0)
-        assert side_of_alpha(Point(2, 100), a) == LEFT
-        assert side_of_alpha(Point(2.5, 100), a) == RIGHT_OR_BEYOND
-
-    def test_low_point_against_vertical_ray(self):
-        a = AlphaCurve(Point(0, 0), 4.0)
-        assert side_of_alpha(Point(-0.5, -100), a) == LEFT
-        assert side_of_alpha(Point(0.5, -100), a) == RIGHT_OR_BEYOND
-
-    def test_left_answers_form_prefix_on_skylines(self, rng):
-        # the per-group binary searches rely on this partition property
-        for _ in range(200):
-            sky = brute_skyline(random_pointset(rng, rng.randint(1, 50)))
-            center = Point(rng.uniform(-10, 70), rng.uniform(-10, 70))
-            a = AlphaCurve(center, rng.uniform(0, 40) ** 2)
-            sides = [side_of_alpha(q, a) for q in sky]
-            first_right = (sides + [RIGHT_OR_BEYOND]).index(RIGHT_OR_BEYOND)
-            assert all(s == LEFT for s in sides[:first_right])
-            assert all(s == RIGHT_OR_BEYOND for s in sides[first_right:])

@@ -13,7 +13,8 @@ from pareto_kcenter.grouped import (build, next_on_skyline,
 from pareto_kcenter.instrument import counters, sort_charge
 from pareto_kcenter.oracle import brute_skyline
 
-from conftest import SCALES, STAIR4, random_pointset, scaled_pointset
+from conftest import (RAW_POINTS, SCALES, STAIR4, random_pointset,
+                      scaled_pointset)
 
 # Raw points for scaled_pointset on a 5 x 5 grid: ties in x and in y are
 # common inside every group.
@@ -204,3 +205,53 @@ class TestNextRelevantPoint:
                     i = sky.pts.index(q)
                     if i + 1 < len(sky):
                         assert dist_sq(p, sky[i + 1]) > lam_sq
+
+    # The covered side of each group is bounded by the paper's alpha curve
+    # of p and the radius: every point not right of p, and every point
+    # within the radius.  The search inlines that test.
+
+    def test_rejects_negative_radius(self):
+        G = build(PointSet.from_coords(STAIR4), 2)
+        with pytest.raises(ValueError):
+            next_relevant_point(G, Point(0, 3), -1.0)
+
+    def test_point_on_the_circle_is_covered(self):
+        # (3, 4, 5) scaled by powers of two: every distance is exact.
+        for scale in (1.0, 2.0 ** 60, 2.0 ** -60):
+            p, q = Point(0.0, 4 * scale), Point(3 * scale, 0.0)
+            P = PointSet([p, q, Point(4 * scale, -10 * scale)])
+            r_sq = 25 * scale * scale
+            assert dist_sq(p, q) == r_sq
+            for kappa in (1, 2, 3):
+                G = build(P, kappa)
+                assert next_relevant_point(G, p, r_sq) == q
+                assert next_relevant_point(
+                    G, p, math.nextafter(r_sq, 0.0)) == p
+
+    def test_points_left_of_p_are_covered(self):
+        # The curve's lower ray: points left of p count as covered however
+        # far away they are, so the covered points of a group stay a
+        # prefix and the search does not stop short of p.
+        stair = [(0, 60), (10, 50), (20, 40), (30, 30), (40, 20), (41, 19),
+                 (60, 0)]
+        P = PointSet.from_coords(stair)
+        for kappa in (1, 2, 3, len(stair)):
+            G = build(P, kappa)
+            assert next_relevant_point(G, Point(40, 20), 2.0) == Point(41, 19)
+            assert next_relevant_point(G, Point(40, 20), 1.0) == Point(40, 20)
+
+    @settings(max_examples=60, deadline=None)
+    @given(SCALES, RAW_POINTS, st.integers(1, 6))
+    def test_covered_points_form_a_prefix(self, scale, raw, kappa):
+        # Right of p, the staircase points within the radius are a run
+        # that starts at p; the query answers the run's last point.
+        P = scaled_pointset(scale, raw)
+        sky = brute_skyline(P).pts
+        G = build(P, kappa)
+        for i, p in enumerate(sky):
+            for q in sky[i:]:
+                lam_sq = dist_sq(p, q)
+                within = [dist_sq(p, r) <= lam_sq for r in sky[i:]]
+                run = within.index(False) if False in within else len(within)
+                assert not any(within[run:])
+                assert next_relevant_point(G, p, lam_sq) == sky[i + run - 1]

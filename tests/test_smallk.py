@@ -33,6 +33,8 @@ class TestBisectorExtremes:
     def test_degenerate_anchors(self):
         with pytest.raises(DegenerateSpan):
             bisector_extremes([], Point(1, 1), Point(1, 1))
+        with pytest.raises(DegenerateSpan):  # the distance underflows to 0
+            bisector_extremes([], Point(0.0, 0.0), Point(5e-324, -5e-324))
 
     def test_matches_exhaustive_scan(self, rng):
         for _ in range(120):
@@ -60,6 +62,15 @@ class TestSolveOneCenter:
     def test_single_point(self):
         res = solve_one_center(PointSet.from_coords([(4, 4)]))
         assert res.lambda_star_sq == 0.0
+
+    def test_extremes_whose_distance_underflows(self):
+        # Two points a subnormal step apart: the squared distance is 0.0,
+        # so the bisector scan has no point right of the bisector.
+        p, q = Point(0.0, 0.0), Point(5e-324, -5e-324)
+        assert dist_sq(p, q) == 0.0
+        res = solve_one_center(PointSet([p, q]))
+        assert (res.lambda_star_sq, res.centers) == (0.0, (p,))
+        assert gonzalez_2approx(PointSet([p, q]), 2) == ([p], 0.0)
 
     def test_matches_exact_solvers(self, rng):
         for _ in range(120):
