@@ -3,7 +3,7 @@ import pytest
 
 from pareto_kcenter.exact import solve_parametric
 from pareto_kcenter.geom import Point, PointSet, SkylineArray, dist_sq, extremes
-from pareto_kcenter.grouped import build
+from pareto_kcenter.grouped import build, next_relevant_point
 from pareto_kcenter.oracle import brute_skyline
 from pareto_kcenter.skyline import slow_skyline
 from pareto_kcenter.smallk import approx_solve, gonzalez_2approx
@@ -92,3 +92,20 @@ class TestSkylineArray:
                 for j in range(i + 1, len(sky) - 1):
                     assert dist_sq(sky[i], sky[j]) < dist_sq(sky[i], sky[j + 1])
                     break  # one pair per i keeps this O(h)
+
+
+class TestAlphaCurve:
+    # The paper's alpha curve of p and a radius bounds the points a center
+    # at p covers to its right; next_relevant_point inlines that test.
+
+    def test_inside_quarter_circle(self):
+        p, q = Point(0, 3), Point(1, 2)  # dist_sq 2 <= 2.25
+        P = PointSet([p, q])
+        for kappa in (1, 2):
+            assert next_relevant_point(build(P, kappa), p, 2.25) == q
+
+    def test_outside_quarter_circle(self):
+        p, q = Point(0, 3), Point(2, 1)  # dist_sq 8 > 2.25
+        P = PointSet([p, q])
+        for kappa in (1, 2):
+            assert next_relevant_point(build(P, kappa), p, 2.25) == p
