@@ -26,9 +26,6 @@ class DecisionOutcome:
     centers: tuple[Point, ...] = ()
     clusters: tuple[Cluster, ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.feasible
-
 
 INCOMPLETE = DecisionOutcome(False)
 
@@ -73,8 +70,8 @@ def decide_materialized(S: SkylineArray, k: int, lambda_sq: float) -> DecisionOu
 
 
 def decide_grouped(G: GroupedSkyline, k: int, lambda_sq: float) -> DecisionOutcome:
-    """Same verdict and same centers as decide_materialized on sky(P),
-    computed with at most 2k next-relevant-point queries."""
+    """Same verdict and same centers as decide_materialized on sky(P), from
+    at most 2k next-relevant-point queries of two per-group passes each."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not lambda_sq >= 0:  # also rejects NaN

@@ -2,15 +2,15 @@
 the skyline itself.
 
 The point set is split into contiguous input-order groups, and each
-group's skyline is stored for binary searches.  The group skylines are
-stored flat, as coordinate lists with one index range per group, and a
-Point is made only for a query's answer.  Three queries are answered
-against this structure: next point on the global skyline, membership +
-predecessor, and the next relevant point (farthest skyline point right
-of p within a radius).  The ends of the staircase are index bounds, not
+group's skyline is stored flat, as coordinate lists with one index range
+per group, for binary searches; a Point is made only for an answer.  The
+queries: next point on the global skyline, membership + predecessor, and
+the next relevant point, the farthest skyline point right of p within a
+radius.  That is the rightmost point above the highest uncovered point,
+or the last point if none is uncovered; the predecessor query ends in
+the same y-keyed pass.  The ends of the staircase are index bounds, not
 padding points: a query that runs past either end answers None.  The
-grouping pass and the next-point walk are shared with the bounded
-skyline probe.
+grouping pass and the next-point walk are shared with the bounded probe.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class GroupedSkyline:
     holds the end offset of each group.
     """
 
-    __slots__ = ("xs", "ys", "groups", "t", "p0", "q0")
+    __slots__ = ("xs", "ys", "groups", "t", "p0", "q0", "pass_probes")
 
     def __init__(self, xs, ys, groups, p0, q0):
         self.xs: list[float] = xs
@@ -45,6 +45,7 @@ class GroupedSkyline:
         self.t: int = len(groups)
         self.p0: Point = p0
         self.q0: Point = q0
+        self.pass_probes: int = pass_charge(groups)  # of one x-keyed pass
 
 
 def _charge(m: int) -> int:
@@ -86,12 +87,17 @@ def group_skylines(xy: np.ndarray, size: int):
             np.cumsum(counts).tolist())
 
 
+def pass_charge(groups: list[int]) -> int:
+    """Probe charge of one binary search per group, each group charged as
+    the paper's padded group of m + 2 points."""
+    return sum(bisect_charge(b - a + 2) for a, b in zip([0] + groups, groups))
+
+
 def leftmost_right_of(xs: list[float], ys: list[float],
                       groups: list[int], x0: float,
-                      inclusive: bool = False) -> tuple[int | None, int]:
+                      inclusive: bool = False) -> int | None:
     """Index of the leftmost global-skyline point with x > x0 (x >= x0 if
-    inclusive), or None if there is none, and the probe charge of the
-    searches.
+    inclusive), or None if there is none.  Its charge is pass_charge.
 
     Each group offers its first point past x0; the highest of those
     (ties toward larger x) is the answer.
@@ -99,16 +105,15 @@ def leftmost_right_of(xs: list[float], ys: list[float],
     find = bisect_left if inclusive else bisect_right
     best = None
     by = bx = 0.0
-    probes = lo = 0
+    lo = 0
     for hi in groups:
         i = find(xs, x0, lo, hi)
-        probes += bisect_charge(hi - lo + 2)  # the paper's padded group
         if i < hi:
             y = ys[i]
             if best is None or y > by or (y == by and xs[i] > bx):
                 best, by, bx = i, y, xs[i]
         lo = hi
-    return best, probes
+    return best
 
 
 def build(P: PointSet, kappa: int) -> GroupedSkyline:
@@ -123,32 +128,19 @@ def build(P: PointSet, kappa: int) -> GroupedSkyline:
 def next_on_skyline(G: GroupedSkyline, x0: float) -> Point | None:
     """Leftmost global-skyline point strictly right of x0; None once x0
     is at or past the last point."""
-    best, probes = leftmost_right_of(G.xs, G.ys, G.groups, x0)
+    best = leftmost_right_of(G.xs, G.ys, G.groups, x0)
     counters.add(SEARCHES, G.t)
-    counters.add(PROBES, probes)
+    counters.add(PROBES, G.pass_probes)
     return None if best is None else Point(G.xs[best], G.ys[best])
 
 
-def test_membership_and_prev(G: GroupedSkyline, p: Point) -> tuple[bool, Point | None]:
-    """Is p on the global skyline, and what precedes x(p) on it?
-
-    Two passes of per-group binary searches: an x-keyed pass locates the
-    highest point at x >= x(p) (equal to p exactly when p is on the
-    skyline), then a y-keyed pass finds the predecessor, the rightmost
-    point above it, which is None for the leftmost point.
-    """
+def _rightmost_above(G: GroupedSkyline, y0: float) -> Point | None:
+    """Rightmost point above y0 (ties toward larger y), or None.  It is on
+    the global skyline: a point dominating it would be above y0 too."""
     xs, ys = G.xs, G.ys
-    counters.add(SEARCHES, 2 * G.t)
-    best, probes = leftmost_right_of(xs, ys, G.groups, p.x, inclusive=True)
-    counters.add(PROBES, probes)
-    if best is None:
-        raise InternalInvariantViolation(f"no point at or right of x={p.x}")
-    member = p.x == xs[best] and p.y == ys[best]
-
-    y0 = ys[best]
-    prev = None
-    px = py = 0.0
+    bx = by = None
     probes = a = 0
+    counters.add(SEARCHES, G.t)
     for b in G.groups:
         lo, hi = a - 1, b  # ys[lo] > y0 >= ys[hi], the ends virtual
         while hi - lo > 1:
@@ -160,11 +152,27 @@ def test_membership_and_prev(G: GroupedSkyline, p: Point) -> tuple[bool, Point |
                 hi = mid
         if lo >= a:
             x = xs[lo]
-            if prev is None or x > px or (x == px and ys[lo] > py):
-                prev, px, py = lo, x, ys[lo]
+            if bx is None or x > bx or (x == bx and ys[lo] > by):
+                bx, by = x, ys[lo]
         a = b
     counters.add(PROBES, probes)
-    return member, None if prev is None else Point(px, py)
+    return None if bx is None else Point(bx, by)
+
+
+def test_membership_and_prev(G: GroupedSkyline, p: Point) -> tuple[bool, Point | None]:
+    """Is p on the global skyline, and what precedes x(p) on it?
+
+    An x-keyed pass finds the highest point at x >= x(p), which is p
+    exactly when p is on the skyline; the predecessor is the rightmost
+    point above it, None for the leftmost point.
+    """
+    best = leftmost_right_of(G.xs, G.ys, G.groups, p.x, inclusive=True)
+    counters.add(SEARCHES, G.t)
+    counters.add(PROBES, G.pass_probes)
+    if best is None:
+        raise InternalInvariantViolation(f"no point at or right of x={p.x}")
+    y = G.ys[best]
+    return p.x == G.xs[best] and p.y == y, _rightmost_above(G, y)
 
 
 test_membership_and_prev.__test__ = False  # keep pytest collection away
@@ -173,12 +181,16 @@ test_membership_and_prev.__test__ = False  # keep pytest collection away
 def next_relevant_point(G: GroupedSkyline, p: Point, lambda_sq: float) -> Point:
     """Farthest global-skyline point q with x(q) >= x(p) within the radius.
 
-    Per group, a binary search finds the last covered point and its
-    successor, and the membership dichotomy picks the global answer.
     Requires p on the global skyline.  Covered means left of the paper's
-    alpha curve: not right of p, or within the radius.  The curve's ray
-    up from (x(p) + r, y(p)) is never met, since a point right of p and
-    as high would dominate p.  Covered points form a prefix of a group.
+    alpha curve: not right of p, or within the radius (its ray up from
+    (x(p) + r, y(p)) is never met: a point there would dominate p).  The
+    covered points of a group are a prefix.  If no group has an uncovered
+    point, the answer is q0; else it is the rightmost point above y(u),
+    u the highest first uncovered point.  Points above y(u) are covered,
+    p among them, so that point is on the skyline, within the radius and
+    not left of p.  A skyline point right of it is at or below y(u), so
+    not left of u (u would dominate it): its |dx| and |dy| to p are at
+    least u's, and rounding is monotone, so it is uncovered too.
     """
     if p == G.q0:
         return p
@@ -187,9 +199,7 @@ def next_relevant_point(G: GroupedSkyline, p: Point, lambda_sq: float) -> Point:
 
     xs, ys = G.xs, G.ys
     px, py = p.x, p.y
-    q_best = None  # rightmost covered point of any group
-    succ_best = None  # highest first uncovered point of any group
-    qx = qy = sx = sy = 0.0
+    y_u = None  # y(u), the highest first uncovered point of any group
     probes = a = 0
     counters.add(SEARCHES, G.t)
     for b in G.groups:
@@ -203,23 +213,14 @@ def next_relevant_point(G: GroupedSkyline, p: Point, lambda_sq: float) -> Point:
                 lo = mid
             else:
                 hi = mid
-        if lo >= a:
-            x = xs[lo]
-            if q_best is None or x > qx or (x == qx and ys[lo] > qy):
-                q_best, qx, qy = lo, x, ys[lo]
-        if hi < b:
-            y = ys[hi]
-            if succ_best is None or y > sy or (y == sy and xs[hi] > sx):
-                succ_best, sx, sy = hi, xs[hi], y
+        if hi < b and (y_u is None or ys[hi] > y_u):
+            y_u = ys[hi]
         a = b
     counters.add(PROBES, probes)
 
-    if succ_best is None:
-        return Point(qx, qy)  # every group is covered to its end
-    member, prev = test_membership_and_prev(G, Point(sx, sy))
-    if member and prev is not None:
-        return prev
-    if not member and q_best is not None:
-        return Point(qx, qy)
-    raise InternalInvariantViolation(
-        "next relevant point ran off the staircase; is p on the skyline?")
+    if y_u is None:
+        return G.q0  # every group is covered to its end
+    q = _rightmost_above(G, y_u)
+    if q is None or q.x < px:
+        raise InternalInvariantViolation("answer left of p: p not on skyline")
+    return q

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .geom import Point, PointSet, SkylineArray
-from .grouped import CMP, group_skylines, leftmost_right_of
+from .grouped import CMP, group_skylines, leftmost_right_of, pass_charge
 from .instrument import counters, sort_charge
 
 
@@ -60,11 +60,12 @@ def skyline_bounded(P: PointSet, s: int) -> BoundedResult:
     if s < 1:
         raise ValueError("s must be >= 1")
     xs, ys, groups = group_skylines(P.xy, s)
+    charge = pass_charge(groups) + len(groups)
     out: list[Point] = []
     x_cur = -math.inf
     for _ in range(s + 1):
-        best, probes = leftmost_right_of(xs, ys, groups, x_cur)
-        counters.add(CMP, probes + len(groups))
+        best = leftmost_right_of(xs, ys, groups, x_cur)
+        counters.add(CMP, charge)
         if best is None:
             return BoundedResult(SkylineArray(out))
         x_cur = xs[best]

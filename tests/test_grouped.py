@@ -10,7 +10,7 @@ from pareto_kcenter.geom import Point, PointSet, dist_sq
 from pareto_kcenter.grouped import (build, next_on_skyline,
                                     next_relevant_point,
                                     test_membership_and_prev)
-from pareto_kcenter.instrument import counters, sort_charge
+from pareto_kcenter.instrument import bisect_charge, counters, sort_charge
 from pareto_kcenter.oracle import brute_skyline
 
 from conftest import (RAW_POINTS, SCALES, STAIR4, random_pointset,
@@ -103,6 +103,14 @@ class TestNextOnSkyline:
         P = PointSet.from_coords(STAIR4)
         G = build(P, 2)
         assert next_on_skyline(G, -math.inf) == Point(0, 3)
+
+    def test_probe_charge_counts_padded_groups(self):
+        # Groups of 3, 3 and 1 points, each charged as m + 2 points.
+        G = build(PointSet.from_coords([(i, 10 - i) for i in range(7)]), 3)
+        counters.reset()
+        next_on_skyline(G, 0.5)
+        assert counters.get("binary_search_probes") == (2 * bisect_charge(5)
+                                                        + bisect_charge(3))
 
     def test_past_last_returns_dummy(self):
         # None stands for the paper's right dummy point.
@@ -239,6 +247,24 @@ class TestNextRelevantPoint:
             G = build(P, kappa)
             assert next_relevant_point(G, Point(40, 20), 2.0) == Point(41, 19)
             assert next_relevant_point(G, Point(40, 20), 1.0) == Point(40, 20)
+
+    @settings(max_examples=60, deadline=None)
+    @given(SCALES, RAW_POINTS, st.integers(1, 6))
+    def test_charges_one_pass_or_two(self, scale, raw, kappa):
+        # One covered-split pass, and one y-keyed pass more unless every
+        # group is covered to its end.  Radii reach every stored point, so
+        # both cases occur, also with an uncovered point below q0.
+        P = scaled_pointset(scale, raw)
+        G = build(P, kappa)
+        stored = list(map(Point, G.xs, G.ys))
+        for p in brute_skyline(P).pts[:-1]:
+            for lam_sq in {0.0} | {dist_sq(p, q) for q in stored}:
+                covered = all(q.x <= p.x or dist_sq(p, q) <= lam_sq
+                              for q in stored)
+                counters.reset()
+                next_relevant_point(G, p, lam_sq)
+                passes = 1 if covered else 2
+                assert counters.get("binary_searches") == passes * G.t
 
     @settings(max_examples=60, deadline=None)
     @given(SCALES, RAW_POINTS, st.integers(1, 6))
