@@ -38,15 +38,18 @@ def dist_sq(p: Point, q: Point) -> float:
     return dx * dx + dy * dy
 
 
-def first_occurrences(xy: np.ndarray) -> np.ndarray:
+def first_occurrences(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the first occurrence of each distinct row of an (m, 2)
-    float array, in increasing order.
+    float array, in increasing order, and the (x, y) order of the kept
+    rows, each numbered by its place among them.
 
     Rows are equal when both coordinates compare equal as floats, so 0.0
     and -0.0 are one value.  Equal rows share x, so only rows whose x
     occurs more than once (found by one unstable sort on x) need the
     stable lexsort, which keeps equal rows in input order: the first row
-    of each run of equal neighbours is the first occurrence.
+    of each run of equal neighbours is the first occurrence.  Written
+    back into their places in the x-sort, the lexsorted rows complete it
+    to an (x, y) order.
     """
     by_x = np.argsort(xy[:, 0])
     sx = xy[by_x, 0]
@@ -56,11 +59,13 @@ def first_occurrences(xy: np.ndarray) -> np.ndarray:
     shared[:-1] |= tie
     rows = np.sort(by_x[shared])
     order = rows[np.lexsort((xy[rows, 1], xy[rows, 0]))]
+    by_x[shared] = order
     s = xy[order]
     repeat = (s[1:, 0] == s[:-1, 0]) & (s[1:, 1] == s[:-1, 1])
     keep = np.ones(len(by_x), dtype=bool)
     keep[order[1:][repeat]] = False
-    return np.flatnonzero(keep)
+    renumber = np.cumsum(keep) - 1
+    return np.flatnonzero(keep), renumber[by_x[keep[by_x]]]
 
 
 class PointSet:
@@ -74,11 +79,14 @@ class PointSet:
     Built from Points or from an (m, 2) float array of finite
     coordinates.  ``xy`` holds the kept coordinates as a read-only float
     array; the algorithms work on it and make Points only for their
-    results.  ``points[i]`` is row i as a Point: the caller's own object
-    when built from Points, otherwise made on first use of ``points``.
+    results.  ``order`` is the read-only permutation of xy's rows by
+    (x, y) that deduplication leaves: the skylines scan it instead of
+    sorting again.  ``points[i]`` is row i as a Point: the caller's own
+    object when built from Points, otherwise made on first use of
+    ``points``.
     """
 
-    __slots__ = ("xy", "_points")
+    __slots__ = ("xy", "order", "_points")
 
     def __init__(self, points: Iterable[Point] | np.ndarray):
         if isinstance(points, np.ndarray):
@@ -92,10 +100,12 @@ class PointSet:
             given = list(points)
             xy = np.array([(p.x, p.y) for p in given],
                           dtype=np.float64).reshape(-1, 2)
-        keep = first_occurrences(xy)
+        keep, order = first_occurrences(xy)
         xy = xy[keep]
         xy.flags.writeable = False
+        order.flags.writeable = False
         self.xy: np.ndarray = xy
+        self.order: np.ndarray = order
         self._points: tuple[Point, ...] | None = (
             None if given is None else tuple(given[i] for i in keep.tolist()))
 

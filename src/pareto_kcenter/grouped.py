@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InternalInvariantViolation
 from .geom import Point, PointSet, extremes
-from .instrument import bisect_charge, counters, sort_charge
+from .instrument import counters, sort_charge
 
 SEARCHES = "binary_searches"
 PROBES = "binary_search_probes"
@@ -33,19 +33,20 @@ class GroupedSkyline:
 
     Group g's skyline is (xs[i], ys[i]) for groups[g-1] <= i < groups[g]
     (from 0 for g = 0), by increasing x (so decreasing y): ``groups``
-    holds the end offset of each group.
+    holds the end offset of each group.  ``pass_probes`` is the probe
+    charge of one x-keyed pass over the groups.
     """
 
     __slots__ = ("xs", "ys", "groups", "t", "p0", "q0", "pass_probes")
 
-    def __init__(self, xs, ys, groups, p0, q0):
+    def __init__(self, xs, ys, groups, pass_probes, p0, q0):
         self.xs: list[float] = xs
         self.ys: list[float] = ys
         self.groups: list[int] = groups
         self.t: int = len(groups)
         self.p0: Point = p0
         self.q0: Point = q0
-        self.pass_probes: int = pass_charge(groups)  # of one x-keyed pass
+        self.pass_probes: int = pass_probes
 
 
 def _charge(m: int) -> int:
@@ -55,42 +56,47 @@ def _charge(m: int) -> int:
     return sort_charge(m + 2) + m + 1
 
 
-def _group_skyline_rows(xy: np.ndarray, size: int):
-    """Rows of xy on the skylines of its contiguous chunks of `size`
+def _group_skyline_rows(P: PointSet, size: int):
+    """Rows of P on the skylines of its contiguous chunks of `size`
     rows, chunk by chunk and by increasing x, and each chunk's count.
 
-    One pass for all chunks: sort the rows by (chunk, x, y), then keep
-    each row whose y exceeds every later y of its chunk.  That is a
-    reversed running max over dense y-ranks, each chunk's ranks lifted
-    above those of every later chunk so that no maximum crosses back.
-    Its temporaries are freed before group_skylines builds the lists.
+    One pass for all chunks, with no sort of coordinates.  Every chunk
+    but the last is full, so the rows' ranks in P's (x, y) order fill a
+    (chunks, width) table, the last row padded with rank n; sorting each
+    table row's integers puts its chunk in (x, y) order.  A row is kept
+    when its y exceeds every later y in its table row (a reversed
+    running max along the rows); pads read -inf, so none is kept.  The
+    temporaries are freed before group_skylines builds the lists.
     """
-    n = len(xy)
-    t = -(-n // size)
-    chunk = np.arange(n) // size
-    order = np.lexsort((xy[:, 1], xy[:, 0], chunk))
-    _, rank = np.unique(xy[:, 1], return_inverse=True)
-    key = (t - 1 - chunk[order]) * n + rank[order]
-    keep = np.ones(n, dtype=bool)
-    keep[:-1] = key[:-1] > np.maximum.accumulate(key[::-1])[::-1][1:]
-    rows = order[keep]
-    return rows, np.bincount(chunk[rows], minlength=t)
+    n = len(P)
+    width = min(size, n)  # a size past n must not size the table
+    rank = np.full(-(-n // size) * width, n)
+    rank[P.order] = np.arange(n)
+    rank = np.sort(rank.reshape(-1, width), axis=1)
+    ys = np.append(P.xy[P.order, 1], -np.inf)[rank]
+    later = np.full_like(ys, -np.inf)
+    later[:, :-1] = np.maximum.accumulate(ys[:, :0:-1], axis=1)[:, ::-1]
+    keep = ys > later
+    return P.order[rank[keep]], keep.sum(axis=1)
 
 
-def group_skylines(xy: np.ndarray, size: int):
+def group_skylines(P: PointSet, size: int):
     """Skylines of the contiguous input-order chunks of at most `size`
-    rows of xy, as (xs, ys, groups) in GroupedSkyline's flat layout."""
-    full, rest = divmod(len(xy), size)
+    rows of P, as (xs, ys, groups, pass_probes) in GroupedSkyline's flat
+    layout."""
+    full, rest = divmod(len(P), size)
     counters.add(CMP, full * _charge(size) + (_charge(rest) if rest else 0))
-    rows, counts = _group_skyline_rows(xy, size)
-    return (xy[rows, 0].tolist(), xy[rows, 1].tolist(),
-            np.cumsum(counts).tolist())
+    rows, counts = _group_skyline_rows(P, size)
+    return (P.xy[rows, 0].tolist(), P.xy[rows, 1].tolist(),
+            np.cumsum(counts).tolist(), pass_charge(counts))
 
 
-def pass_charge(groups: list[int]) -> int:
-    """Probe charge of one binary search per group, each group charged as
-    the paper's padded group of m + 2 points."""
-    return sum(bisect_charge(b - a + 2) for a, b in zip([0] + groups, groups))
+def pass_charge(sizes: np.ndarray) -> int:
+    """Probe charge of one binary search per group, each group of m
+    points charged as the paper's padded group of m + 2: the sum of
+    bisect_charge(m + 2).  frexp's exponent of a positive integer below
+    2^53 is its bit length."""
+    return int(np.frexp(sizes + 2)[1].sum())
 
 
 def leftmost_right_of(xs: list[float], ys: list[float],
@@ -122,7 +128,7 @@ def build(P: PointSet, kappa: int) -> GroupedSkyline:
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
     p0, q0 = extremes(P)
-    return GroupedSkyline(*group_skylines(P.xy, kappa), p0, q0)
+    return GroupedSkyline(*group_skylines(P, kappa), p0, q0)
 
 
 def next_on_skyline(G: GroupedSkyline, x0: float) -> Point | None:

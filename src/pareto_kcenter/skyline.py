@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .geom import Point, PointSet, SkylineArray
-from .grouped import CMP, group_skylines, leftmost_right_of, pass_charge
+from .grouped import CMP, group_skylines, leftmost_right_of
 from .instrument import counters, sort_charge
 
 
@@ -34,18 +34,18 @@ INCOMPLETE = BoundedResult(None)
 
 
 def slow_skyline(P: PointSet) -> SkylineArray:
-    """Sort lexicographically, then keep each point whose y exceeds every
-    y after it (a reversed running maximum), all on P's coordinate
-    columns.  Charged as the sort plus one comparison per scanned point.
+    """Scan P's rows in its (x, y) order and keep each point whose y
+    exceeds every y after it (a reversed running maximum), all on P's
+    coordinate columns.  Charged as the sort plus one comparison per
+    scanned point: the sort is deduplication's, done once per set.
     """
     P.require_nonempty()
     n = len(P)
     counters.add(CMP, sort_charge(n) + n - 1)
-    order = np.lexsort((P.xy[:, 1], P.xy[:, 0]))
-    ys = P.xy[order, 1]
+    ys = P.xy[P.order, 1]
     keep = np.ones(n, dtype=bool)
     keep[:-1] = ys[:-1] > np.maximum.accumulate(ys[::-1])[::-1][1:]
-    sky = P.xy[order[keep]]
+    sky = P.xy[P.order[keep]]
     return SkylineArray(map(Point, sky[:, 0].tolist(), sky[:, 1].tolist()))
 
 
@@ -59,8 +59,8 @@ def skyline_bounded(P: PointSet, s: int) -> BoundedResult:
     P.require_nonempty()
     if s < 1:
         raise ValueError("s must be >= 1")
-    xs, ys, groups = group_skylines(P.xy, s)
-    charge = pass_charge(groups) + len(groups)
+    xs, ys, groups, probes = group_skylines(P, s)
+    charge = probes + len(groups)
     out: list[Point] = []
     x_cur = -math.inf
     for _ in range(s + 1):

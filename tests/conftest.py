@@ -36,7 +36,7 @@ RAW_POINTS = st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40),
                       min_size=1, max_size=60)
 
 
-def scaled_pointset(scale: float, raw) -> PointSet:
+def scaled_points(scale: float, raw) -> list[Point]:
     """Small integers times the scale, plus a few ulps: ties in x or y,
     duplicates and neighbours one ulp apart all occur."""
     pts = []
@@ -47,7 +47,23 @@ def scaled_pointset(scale: float, raw) -> PointSet:
         for _ in range(db):
             y = math.nextafter(y, -math.inf)
         pts.append(Point(x, y))
-    return PointSet(pts)
+    return pts
+
+
+def scaled_pointset(scale: float, raw) -> PointSet:
+    return PointSet(scaled_points(scale, raw))
+
+
+@st.composite
+def x_tied_rows(draw) -> list[tuple[float, float]]:
+    """Rows with at most three distinct x (0.0 and -0.0 are one), y with
+    signed zeros too, and some rows repeated: most neighbours in (x, y)
+    order share x, and dedup drops rows."""
+    rows = draw(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                                   st.sampled_from([0.0, -0.0, 1.0, 2.0,
+                                                    -3.0])),
+                         min_size=1, max_size=40))
+    return rows + draw(st.lists(st.sampled_from(rows), max_size=10))
 
 
 STAIR3 = [(0, 2), (1, 1), (2, 0)]

@@ -58,6 +58,16 @@ class TestSkylineCommand:
         assert code == 0
         assert out.splitlines()[0] == "4"
 
+    def test_bounded_by_a_huge_size_equals_sort(self, capsys, tmp_path):
+        # One group of all the points, however large the bound.
+        path = tmp_path / "inst.txt"
+        path.write_text("0 0\n2 1\n1 2\n1 1\n-0.0 2\n2 1\n")
+        code, out, _ = run_cli(capsys, "skyline", str(path),
+                               "--algo", "bounded:1000000000000000")
+        _, sort_out, _ = run_cli(capsys, "skyline", str(path), "--algo", "sort")
+        assert code == 0
+        assert out == sort_out == "2\n1 2\n2 1\n"
+
     def test_optimal_equals_brute(self, capsys, tmp_path):
         code, gen_out, _ = run_cli(capsys, "gen", "--generator", "clustered",
                                    "--n", "300", "--seed", "11")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pareto_kcenter.exact import solve_parametric
 from pareto_kcenter.geom import Point, PointSet, SkylineArray, dist_sq, extremes
@@ -8,7 +9,8 @@ from pareto_kcenter.oracle import brute_skyline
 from pareto_kcenter.skyline import slow_skyline
 from pareto_kcenter.smallk import approx_solve, gonzalez_2approx
 
-from conftest import random_pointset
+from conftest import (RAW_POINTS, SCALES, random_pointset, scaled_points,
+                      x_tied_rows)
 
 
 class TestExtremes:
@@ -74,6 +76,38 @@ class TestPointSet:
             solve_parametric(P, k)
             gonzalez_2approx(P, k)
             approx_solve(P, k, 0.1)
+
+
+def assert_order_is_lexsort(rows):
+    """Built from Points or from an array, the set keeps the same rows and
+    their (x, y) order, which is lexsort's, read-only."""
+    from_points = PointSet([Point(x, y) for x, y in rows])
+    from_array = PointSet(np.array(rows, dtype=float).reshape(-1, 2))
+    assert np.array_equal(from_points.xy, from_array.xy)
+    for P in (from_points, from_array):
+        want = np.lexsort((P.xy[:, 1], P.xy[:, 0]))
+        assert P.order.dtype == want.dtype
+        assert np.array_equal(P.order, want)
+        assert not P.order.flags.writeable
+        with pytest.raises(ValueError):
+            P.order[0] = 0
+
+
+class TestSharedOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(SCALES, RAW_POINTS)
+    def test_order_is_lexsort_at_every_scale(self, scale, raw):
+        assert_order_is_lexsort([(p.x, p.y)
+                                 for p in scaled_points(scale, raw)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(x_tied_rows())
+    def test_order_is_lexsort_with_x_ties(self, rows):
+        assert_order_is_lexsort(rows)
+
+    def test_empty_set_has_empty_order(self):
+        assert len(PointSet([]).order) == 0
+        assert len(PointSet(np.empty((0, 2))).order) == 0
 
 
 class TestSkylineArray:

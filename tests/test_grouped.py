@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from pareto_kcenter.errors import EmptyInput
 from pareto_kcenter.geom import Point, PointSet, dist_sq
 from pareto_kcenter.grouped import (build, next_on_skyline,
-                                    next_relevant_point,
+                                    next_relevant_point, pass_charge,
                                     test_membership_and_prev)
 from pareto_kcenter.instrument import bisect_charge, counters, sort_charge
 from pareto_kcenter.oracle import brute_skyline
 
 from conftest import (RAW_POINTS, SCALES, STAIR4, random_pointset,
-                      scaled_pointset)
+                      scaled_pointset, x_tied_rows)
 
 # Raw points for scaled_pointset on a 5 x 5 grid: ties in x and in y are
 # common inside every group.
@@ -72,6 +72,29 @@ class TestBuild:
             want = [(p.x.hex(), p.y.hex()) for p in brute_skyline(chunk)]
             got = [(p.x.hex(), p.y.hex()) for p in group_points(G, g)]
             assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(x_tied_rows())
+    def test_flat_groups_match_brute_skyline_with_x_ties(self, rows):
+        P = PointSet(np.array(rows))
+        n = len(P)
+        for kappa in (1, 2, n, n + 1):
+            G = build(P, kappa)
+            assert G.t == math.ceil(n / kappa)
+            sizes = []
+            for g in range(G.t):
+                chunk = PointSet(P.xy[g * kappa:(g + 1) * kappa])
+                want = [(p.x.hex(), p.y.hex()) for p in brute_skyline(chunk)]
+                got = [(p.x.hex(), p.y.hex()) for p in group_points(G, g)]
+                assert got == want
+                sizes.append(len(want))
+            assert G.pass_probes == sum(bisect_charge(m + 2) for m in sizes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 53 - 3), max_size=50))
+    def test_pass_charge_equals_the_scalar_sum(self, sizes):
+        want = sum(bisect_charge(m + 2) for m in sizes)
+        assert pass_charge(np.array(sizes, dtype=np.int64)) == want
 
     def test_comparison_charge_counts_padded_groups(self):
         # Groups of 3, 3 and 1 points, each charged as m + 2 points.

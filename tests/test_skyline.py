@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from pareto_kcenter.errors import EmptyInput
-from pareto_kcenter.geom import PointSet
+from pareto_kcenter.geom import Point, PointSet
 from pareto_kcenter.instances import fixed_skyline_fill
 from pareto_kcenter.instrument import counters
 from pareto_kcenter.oracle import brute_skyline
@@ -10,7 +10,7 @@ from pareto_kcenter.skyline import (skyline_bounded, skyline_optimal,
                                     slow_skyline)
 
 from conftest import (RAW_POINTS, SCALES, STAIR5, random_pointset,
-                      scaled_pointset)
+                      scaled_pointset, x_tied_rows)
 
 
 def coords(sky):
@@ -56,6 +56,19 @@ class TestSlowSkyline:
         assert slow_skyline(P).pts == want
         assert skyline_optimal(P).pts == want
         assert skyline_bounded(P, len(P)).skyline.pts == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(x_tied_rows())
+    def test_equals_brute_with_x_ties(self, rows):
+        P = PointSet([Point(x, y) for x, y in rows])
+        want = [(p.x.hex(), p.y.hex()) for p in brute_skyline(P)]
+        assert [(p.x.hex(), p.y.hex()) for p in slow_skyline(P)] == want
+        for s in (1, 2, len(P), len(P) + 1):
+            result = skyline_bounded(P, s)
+            assert result.complete == (s >= len(want))
+            if result.complete:
+                got = [(p.x.hex(), p.y.hex()) for p in result.skyline]
+                assert got == want
 
 
 class TestSkylineBounded:
