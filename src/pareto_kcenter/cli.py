@@ -279,11 +279,13 @@ def cmd_decide(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    started = time.perf_counter()  # time_ms covers the read and h too
     P = _load(args.input)
     run = solver(args.method, [args.k])
-    (tag, lam_sq, centers), seconds, snap = _timed(run, P, args.k)
-    report = RunReport(tag, len(P), len(slow_skyline(P)), args.k,
-                       lam_sq, tuple(centers), seconds * 1e3, snap)
+    (tag, lam_sq, centers), _, snap = _timed(run, P, args.k)
+    h = len(slow_skyline(P))
+    report = RunReport(tag, len(P), h, args.k, lam_sq, tuple(centers),
+                       (time.perf_counter() - started) * 1e3, snap)
     if args.json:
         print(json.dumps(report.to_json_obj(), sort_keys=True))
     else:

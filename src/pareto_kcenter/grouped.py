@@ -10,12 +10,15 @@ radius.  That is the rightmost point above the highest uncovered point,
 or the last point if none is uncovered; the predecessor query ends in
 the same y-keyed pass.  The ends of the staircase are index bounds, not
 padding points: a query that runs past either end answers None.  The
-grouping pass and the next-point walk are shared with the bounded probe.
+bounded probe builds the same GroupedSkyline and walks it with the
+next-point pass.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +31,9 @@ PROBES = "binary_search_probes"
 CMP = "skyline_comparisons"
 
 
+@dataclass(frozen=True, slots=True)
 class GroupedSkyline:
-    """Immutable after build; all queries are pure.
+    """Immutable; all queries are pure.  Made only by build.
 
     Group g's skyline is (xs[i], ys[i]) for groups[g-1] <= i < groups[g]
     (from 0 for g = 0), by increasing x (so decreasing y): ``groups``
@@ -37,16 +41,16 @@ class GroupedSkyline:
     charge of one x-keyed pass over the groups.
     """
 
-    __slots__ = ("xs", "ys", "groups", "t", "p0", "q0", "pass_probes")
+    xs: list[float]
+    ys: list[float]
+    groups: list[int]
+    pass_probes: int
+    p0: Point
+    q0: Point
 
-    def __init__(self, xs, ys, groups, pass_probes, p0, q0):
-        self.xs: list[float] = xs
-        self.ys: list[float] = ys
-        self.groups: list[int] = groups
-        self.t: int = len(groups)
-        self.p0: Point = p0
-        self.q0: Point = q0
-        self.pass_probes: int = pass_probes
+    @property
+    def t(self) -> int:
+        return len(self.groups)
 
 
 def _charge(m: int) -> int:
@@ -66,7 +70,7 @@ def _group_skyline_rows(P: PointSet, size: int):
     table row's integers puts its chunk in (x, y) order.  A row is kept
     when its y exceeds every later y in its table row (a reversed
     running max along the rows); pads read -inf, so none is kept.  The
-    temporaries are freed before group_skylines builds the lists.
+    temporaries are freed before build makes the lists.
     """
     n = len(P)
     width = min(size, n)  # a size past n must not size the table
@@ -80,17 +84,6 @@ def _group_skyline_rows(P: PointSet, size: int):
     return P.order[rank[keep]], keep.sum(axis=1)
 
 
-def group_skylines(P: PointSet, size: int):
-    """Skylines of the contiguous input-order chunks of at most `size`
-    rows of P, as (xs, ys, groups, pass_probes) in GroupedSkyline's flat
-    layout."""
-    full, rest = divmod(len(P), size)
-    counters.add(CMP, full * _charge(size) + (_charge(rest) if rest else 0))
-    rows, counts = _group_skyline_rows(P, size)
-    return (P.xy[rows, 0].tolist(), P.xy[rows, 1].tolist(),
-            np.cumsum(counts).tolist(), pass_charge(counts))
-
-
 def pass_charge(sizes: np.ndarray) -> int:
     """Probe charge of one binary search per group, each group of m
     points charged as the paper's padded group of m + 2: the sum of
@@ -99,21 +92,19 @@ def pass_charge(sizes: np.ndarray) -> int:
     return int(np.frexp(sizes + 2)[1].sum())
 
 
-def leftmost_right_of(xs: list[float], ys: list[float],
-                      groups: list[int], x0: float,
-                      inclusive: bool = False) -> int | None:
-    """Index of the leftmost global-skyline point with x > x0 (x >= x0 if
-    inclusive), or None if there is none.  Its charge is pass_charge.
+def leftmost_right_of(G: GroupedSkyline, x0: float) -> int | None:
+    """Index of the leftmost global-skyline point with x > x0, or None if
+    there is none.  Its charge is pass_charge.
 
     Each group offers its first point past x0; the highest of those
     (ties toward larger x) is the answer.
     """
-    find = bisect_left if inclusive else bisect_right
+    xs, ys = G.xs, G.ys
     best = None
     by = bx = 0.0
     lo = 0
-    for hi in groups:
-        i = find(xs, x0, lo, hi)
+    for hi in G.groups:
+        i = bisect_right(xs, x0, lo, hi)
         if i < hi:
             y = ys[i]
             if best is None or y > by or (y == by and xs[i] > bx):
@@ -123,18 +114,24 @@ def leftmost_right_of(xs: list[float], ys: list[float],
 
 
 def build(P: PointSet, kappa: int) -> GroupedSkyline:
-    """Split P into ceil(n/kappa) groups with stored skylines."""
+    """Split P into ceil(n/kappa) groups with stored skylines: kappa is
+    the grouped decision's group size, or the bounded probe's guess s."""
     P.require_nonempty()
     if kappa < 1:
-        raise ValueError("kappa must be >= 1")
+        raise ValueError("group size must be >= 1")
     p0, q0 = extremes(P)
-    return GroupedSkyline(*group_skylines(P, kappa), p0, q0)
+    full, rest = divmod(len(P), kappa)
+    counters.add(CMP, full * _charge(kappa) + (_charge(rest) if rest else 0))
+    rows, counts = _group_skyline_rows(P, kappa)
+    return GroupedSkyline(P.xy[rows, 0].tolist(), P.xy[rows, 1].tolist(),
+                          np.cumsum(counts).tolist(), pass_charge(counts),
+                          p0, q0)
 
 
 def next_on_skyline(G: GroupedSkyline, x0: float) -> Point | None:
     """Leftmost global-skyline point strictly right of x0; None once x0
     is at or past the last point."""
-    best = leftmost_right_of(G.xs, G.ys, G.groups, x0)
+    best = leftmost_right_of(G, x0)
     counters.add(SEARCHES, G.t)
     counters.add(PROBES, G.pass_probes)
     return None if best is None else Point(G.xs[best], G.ys[best])
@@ -170,9 +167,10 @@ def test_membership_and_prev(G: GroupedSkyline, p: Point) -> tuple[bool, Point |
 
     An x-keyed pass finds the highest point at x >= x(p), which is p
     exactly when p is on the skyline; the predecessor is the rightmost
-    point above it, None for the leftmost point.
+    point above it, None for the leftmost point.  No float lies between
+    x(p) and the float below it, so x > that is x >= x(p), at -0.0 too.
     """
-    best = leftmost_right_of(G.xs, G.ys, G.groups, p.x, inclusive=True)
+    best = leftmost_right_of(G, math.nextafter(p.x, -math.inf))
     counters.add(SEARCHES, G.t)
     counters.add(PROBES, G.pass_probes)
     if best is None:

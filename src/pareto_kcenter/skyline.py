@@ -2,7 +2,7 @@
 size-bounded probe, and the output-sensitive driver that squares its guess
 until the probe fits (the paper's route, kept as the reference).
 
-The bounded probe walks the grouped module's per-group skylines; the
+The bounded probe walks a GroupedSkyline built with groups of s; the
 walk ends when no group has a point right of the last one found.
 """
 
@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .geom import Point, PointSet, SkylineArray
-from .grouped import CMP, group_skylines, leftmost_right_of
+from .grouped import CMP, build, leftmost_right_of
 from .instrument import counters, sort_charge
 
 
@@ -56,20 +56,17 @@ def skyline_bounded(P: PointSet, s: int) -> BoundedResult:
     walks the global skyline with one next-point query per group per
     step, for at most s+1 steps.
     """
-    P.require_nonempty()
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    xs, ys, groups, probes = group_skylines(P, s)
-    charge = probes + len(groups)
+    G = build(P, s)
+    charge = G.pass_probes + G.t
     out: list[Point] = []
     x_cur = -math.inf
     for _ in range(s + 1):
-        best = leftmost_right_of(xs, ys, groups, x_cur)
+        best = leftmost_right_of(G, x_cur)
         counters.add(CMP, charge)
         if best is None:
             return BoundedResult(SkylineArray(out))
-        x_cur = xs[best]
-        out.append(Point(x_cur, ys[best]))
+        x_cur = G.xs[best]
+        out.append(Point(x_cur, G.ys[best]))
     return INCOMPLETE
 
 

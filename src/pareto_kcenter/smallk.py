@@ -9,7 +9,6 @@ Points are made only for the centers and the bisector candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,17 +18,6 @@ from .exact import SolveResult
 from .geom import Point, PointSet, dist_sq, extremes, lex_argmax
 from .grouped import build
 from .instrument import counters
-
-
-@dataclass
-class Slab:
-    """Vertical strip between two consecutive centers; members are the
-    coordinate rows, an (m, 2) array, of the points with x strictly
-    between the bounding centers'."""
-
-    left_center: Point
-    right_center: Point
-    members: np.ndarray
 
 
 def _bisector_scan(xy: np.ndarray, p0: Point, q0: Point):
@@ -84,13 +72,15 @@ def bisector_extremes(points, p0: Point, q0: Point) -> tuple[Point, Point]:
     return r_star, r_prime_star
 
 
-def _slab_best(slab: Slab) -> tuple[Point, float]:
-    """Farthest-from-centers skyline point inside the slab and its squared
-    nearest-center distance (both bounding centers give value 0)."""
-    _, rp = bisector_extremes(slab.members, slab.left_center, slab.right_center)
+def _slab(left: Point, right: Point, members: np.ndarray):
+    """Vertical strip between two consecutive centers, as (value, farthest
+    point, left center, right center, members).  Members are the rows,
+    an (m, 2) array, of the points with x strictly between the centers';
+    the farthest point is the strip's skyline point farthest from the
+    nearer center, value that distance squared (0 if it is a center)."""
+    _, rp = bisector_extremes(members, left, right)
     counters.add("dist_evals", 2)
-    val = min(dist_sq(rp, slab.left_center), dist_sq(rp, slab.right_center))
-    return rp, val
+    return min(dist_sq(rp, left), dist_sq(rp, right)), rp, left, right, members
 
 
 def solve_one_center(P: PointSet) -> SolveResult:
@@ -126,33 +116,18 @@ def gonzalez_2approx(P: PointSet, k: int) -> tuple[list[Point], float]:
         return [p0], 0.0
     centers = [p0, q0]
     x = P.xy[:, 0]
-    members = P.xy[(x > p0.x) & (x < q0.x)]
-    slabs = [Slab(p0, q0, members)]
-    best_cache: dict[int, tuple[Point, float]] = {id(slabs[0]): _slab_best(slabs[0])}
-
+    slabs = [_slab(p0, q0, P.xy[(x > p0.x) & (x < q0.x)])]
     for _ in range(k - 2):
-        pick = None
-        pick_val = -1.0
-        for slab in slabs:
-            _, val = best_cache[id(slab)]
-            if val > pick_val:
-                pick = slab
-                pick_val = val
-        if pick is None or pick_val <= 0.0:
+        # Split the first slab of largest value: max keeps the first.
+        i = max(range(len(slabs)), key=lambda j: slabs[j][0])
+        val, c, left, right, members = slabs[i]
+        if val <= 0.0:
             break  # every skyline point is already a center
-        c_new, _ = best_cache[id(pick)]
-        centers.append(c_new)
-        x = pick.members[:, 0]
-        left = Slab(pick.left_center, c_new, pick.members[x < c_new.x])
-        right = Slab(c_new, pick.right_center, pick.members[x > c_new.x])
-        idx = slabs.index(pick)
-        slabs[idx:idx + 1] = [left, right]
-        del best_cache[id(pick)]
-        best_cache[id(left)] = _slab_best(left)
-        best_cache[id(right)] = _slab_best(right)
-
-    psi_sq = max((best_cache[id(s)][1] for s in slabs), default=0.0)
-    return centers, psi_sq
+        centers.append(c)
+        x = members[:, 0]
+        slabs[i:i + 1] = [_slab(left, c, members[x < c.x]),
+                          _slab(c, right, members[x > c.x])]
+    return centers, max(slab[0] for slab in slabs)
 
 
 def check_epsilon(eps: float) -> None:

@@ -30,7 +30,8 @@ def staircase(*coords) -> PointSet:
 
 # Coordinate scales for the differential tests, and raw points for
 # scaled_pointset: small integers plus a few ulps of offset.
-SCALES = st.sampled_from([1.0, 2.0 ** 53, 1e17, 1e150])
+SCALE_VALUES = (1.0, 2.0 ** 53, 1e17, 1e150)
+SCALES = st.sampled_from(SCALE_VALUES)
 RAW_POINTS = st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40),
                                 st.integers(0, 3), st.integers(0, 3)),
                       min_size=1, max_size=60)

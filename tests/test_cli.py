@@ -225,6 +225,19 @@ class TestSolveCommand:
         assert math.isclose(record["lambda_star"], math.sqrt(2))
         assert len(record["centers"]) == 2
 
+    def test_time_ms_covers_the_file_read(self, capsys, stair4, monkeypatch):
+        import time
+        from pareto_kcenter import cli
+
+        def slow_read(path):
+            time.sleep(0.05)
+            return read_point_file(path)
+
+        monkeypatch.setattr(cli, "read_point_file", slow_read)
+        code, out, _ = run_cli(capsys, "solve", stair4, "--k", "2", "--json")
+        assert code == 0
+        assert json.loads(out)["time_ms"] >= 50
+
     def test_approx_requires_epsilon(self, capsys, stair4):
         code, _, err = run_cli(capsys, "solve", stair4, "--k", "2",
                                "--method", "approx")

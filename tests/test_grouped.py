@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -13,8 +14,8 @@ from pareto_kcenter.grouped import (build, next_on_skyline,
 from pareto_kcenter.instrument import bisect_charge, counters, sort_charge
 from pareto_kcenter.oracle import brute_skyline
 
-from conftest import (RAW_POINTS, SCALES, STAIR4, random_pointset,
-                      scaled_pointset, x_tied_rows)
+from conftest import (RAW_POINTS, SCALE_VALUES, SCALES, STAIR4,
+                      random_pointset, scaled_pointset, x_tied_rows)
 
 # Raw points for scaled_pointset on a 5 x 5 grid: ties in x and in y are
 # common inside every group.
@@ -115,6 +116,17 @@ class TestBuild:
         with pytest.raises(EmptyInput):
             build(PointSet([]), 2)
 
+    def test_zero_group_size_raises(self):
+        with pytest.raises(ValueError, match="group size must be >= 1"):
+            build(PointSet.from_coords(STAIR4), 0)
+
+    def test_structure_is_frozen(self):
+        G = build(PointSet.from_coords(STAIR4), 3)
+        assert G.t == len(G.groups) == 2
+        for field in dataclasses.fields(G):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(G, field.name, getattr(G, field.name))
+
 
 class TestNextOnSkyline:
     def test_two_group_staircase(self):
@@ -185,6 +197,43 @@ class TestMembershipAndPrev:
                                len(sky))
                     want = sky[idx - 1] if idx > 0 else None
                     assert prev == want
+
+
+def hex_of(p):
+    return None if p is None else (p.x.hex(), p.y.hex())
+
+
+def check_queries_against_scan(P):
+    """Membership, predecessor and next point of every input point, at
+    kappa 1, 2 and n, against a scan of the brute-force skyline."""
+    pts = brute_skyline(P).pts
+    sky, xs = [hex_of(q) for q in pts], [q.x for q in pts]
+    for kappa in (1, 2, len(P)):
+        G = build(P, kappa)
+        for p in P:
+            member, prev = test_membership_and_prev(G, p)
+            assert member == (hex_of(p) in sky)
+            before = [s for s, x in zip(sky, xs) if x < p.x]
+            assert hex_of(prev) == (before[-1] if before else None)
+            after = [s for s, x in zip(sky, xs) if x > p.x]
+            assert hex_of(next_on_skyline(G, p.x)) == (
+                after[0] if after else None)
+
+
+class TestQueriesAtSignedZerosAndScales:
+    # The membership pass asks for x > nextafter(x(p), -inf), which must
+    # select exactly x >= x(p), also where 0.0 and -0.0 meet.
+
+    @settings(max_examples=150, deadline=None)
+    @given(x_tied_rows())
+    def test_x_tied_rows(self, rows):
+        check_queries_against_scan(PointSet(np.array(rows)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(RAW_POINTS)
+    def test_every_scale(self, raw):
+        for scale in SCALE_VALUES:
+            check_queries_against_scan(scaled_pointset(scale, raw))
 
 
 class TestNextRelevantPoint:
