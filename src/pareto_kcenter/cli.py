@@ -312,7 +312,8 @@ BENCH_JOBS = {
 }
 
 BENCH_COUNTERS = ("skyline_comparisons", "binary_searches",
-                  "binary_search_probes", "dist_evals", "decide_calls")
+                  "binary_search_probes", "dist_evals", "decide_calls",
+                  "multiarray_probes", "multiarray_touches")
 
 
 def cmd_bench(args) -> int:

@@ -3,9 +3,9 @@ radius, with centers on the skyline?
 
 Both procedures run the same left-to-right greedy: from the leftmost
 uncovered point, the center is the farthest skyline point in reach, and
-the cluster extends as far as that center reaches.  One works over a
-materialized skyline array, the other over a GroupedSkyline and never
-materializes anything.
+the cluster extends as far as that center reaches.  One gallops along a
+skyline's coordinate columns, the other works over a GroupedSkyline and
+never materializes anything.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyInput
-from .geom import Point, SkylineArray, dist_sq
+from .geom import Point, SkylineArray
 from .grouped import GroupedSkyline, next_on_skyline, next_relevant_point
 from .instrument import counters
 
@@ -30,8 +30,31 @@ class DecisionOutcome:
 INCOMPLETE = DecisionOutcome(False)
 
 
+def _reach(xs: list, ys: list, a: int, lambda_sq: float) -> tuple[int, int]:
+    """Last index e >= a with (xs[e], ys[e]) within the radius of point a,
+    and the distances computed to find it.  Distances from a grow along
+    the staircase to its right (rounding is monotone), so the points in
+    reach are a prefix: steps to a + 1, a + 3, a + 7, ... bracket its end
+    and a bisection of the bracket finds it, O(log(e - a)) distances."""
+    ax, ay = xs[a], ys[a]
+    lo, hi, gallop, evals = a, len(xs), True, 0  # within at lo, not at hi
+    while hi - lo > 1:
+        j = 2 * lo - a + 1 if gallop else (lo + hi) // 2
+        if j >= hi:
+            gallop = False
+            continue
+        evals += 1
+        dx = ax - xs[j]  # as dist_sq(S[a], S[j])
+        dy = ay - ys[j]
+        if dx * dx + dy * dy <= lambda_sq:
+            lo = j
+        else:
+            hi, gallop = j, False
+    return lo, evals
+
+
 def decide_materialized(S: SkylineArray, k: int, lambda_sq: float) -> DecisionOutcome:
-    """Single forward scan over the skyline array; the index never retreats."""
+    """The greedy on the skyline's columns, O(k log h) distances in all."""
     if len(S) == 0:
         raise EmptyInput("empty skyline")
     if k < 1:
@@ -39,30 +62,20 @@ def decide_materialized(S: SkylineArray, k: int, lambda_sq: float) -> DecisionOu
     if not lambda_sq >= 0:  # also rejects NaN
         raise ValueError("lambda_sq must be >= 0")
     counters.add("decide_calls")
-    h = len(S)
+    xs, ys = S.xs, S.ys
     evals = 0
     centers: list[Point] = []
     clusters: list[Cluster] = []
     i = 0
     for _ in range(k):
-        la = i
-        while i < h:
-            evals += 1
-            if dist_sq(S[la], S[i]) <= lambda_sq:
-                i += 1
-            else:
-                break
-        ca = i - 1
-        while i < h:
-            evals += 1
-            if dist_sq(S[ca], S[i]) <= lambda_sq:
-                i += 1
-            else:
-                break
-        ra = i - 1
-        centers.append(S[ca])
-        clusters.append((S[la], S[ca], S[ra]))
-        if i >= h:
+        ca, e_c = _reach(xs, ys, i, lambda_sq)
+        ra, e_r = _reach(xs, ys, ca, lambda_sq)
+        evals += e_c + e_r
+        c = Point(xs[ca], ys[ca])
+        centers.append(c)
+        clusters.append((Point(xs[i], ys[i]), c, Point(xs[ra], ys[ra])))
+        i = ra + 1
+        if i >= len(xs):
             counters.add("dist_evals", evals)
             return DecisionOutcome(True, tuple(centers), tuple(clusters))
     counters.add("dist_evals", evals)

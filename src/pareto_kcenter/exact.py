@@ -2,18 +2,20 @@
 
 Two routes, both searching the finite candidate set of pairwise skyline
 distances with one engine, multi_array_search, and a decision procedure
-as the predicate:
+as the predicate.  The engine keeps every sorted row as an index range
+over coordinate columns and moves all rows in lockstep with numpy:
 
-* matrix route: the rows d(S[i], S[j > i]) of the sorted distance
-  matrix over the materialized skyline, with the materialized decision;
+* matrix route: the h-1 rows d(S[r], S[j > r]) of the sorted distance
+  matrix over the skyline's columns, with the materialized decision;
 * parametric search: simulate the grouped greedy at the unknown optimum,
-  resolving each step by a search over per-group sorted distance lists
-  with the grouped decision.
+  resolving each step by a search over the per-group suffixes of
+  distances from the step's point, with the grouped decision.
 
 Distances are kept squared throughout; squaring is monotone on
-distances, so every row stays sorted.  matrix_select, the
-Frederickson-Johnson selection over the implicit signed matrix, is kept
-as the paper's reference; no solver calls it.
+distances, so every row stays sorted.  numpy rounds dx*dx + dy*dy per
+element as Python does, so every entry is the float dist_sq gives.
+matrix_select, the Frederickson-Johnson selection over the implicit
+signed matrix, is kept as the paper's reference; no solver calls it.
 """
 
 from __future__ import annotations
@@ -21,14 +23,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 from .errors import InternalInvariantViolation, NotFound, RankOutOfRange
 from .geom import Point, PointSet, SkylineArray, dist_sq
 from .grouped import GroupedSkyline, build, next_on_skyline, next_relevant_point
 from .decision import decide_grouped, decide_materialized
 from .instrument import counters
-from .skyline import skyline_optimal
+from .skyline import slow_skyline
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +57,10 @@ class SortedDistanceMatrix:
         self.h = len(sky)
 
     def entry(self, i: int, j: int) -> float:
-        d = dist_sq(self.sky[i], self.sky[j])
+        xs, ys = self.sky.xs, self.sky.ys
+        dx = xs[i] - xs[j]  # as dist_sq(S[i], S[j])
+        dy = ys[i] - ys[j]
+        d = dx * dx + dy * dy
         return d if i < j else -d
 
 
@@ -128,83 +135,84 @@ def matrix_select(D: SortedDistanceMatrix, rank: int) -> float:
     return keys[a - 1][0]
 
 
-def multi_array_search(arrays: Sequence, probe: Callable[[float], bool]) -> float:
-    """Smallest value in the union of sorted arrays on which the monotone
-    (false-then-true) predicate is true.
+def _bisect(entry: Callable, a: np.ndarray, b: np.ndarray, mid: np.ndarray,
+            below: np.ufunc, target: float) -> np.ndarray:
+    """Lockstep bisection of non-decreasing rows: for each i, the first j
+    in [a[i], b[i]) with entry(i, j) not below the target, b[i] if none.
+    entry takes two index arrays; the first step probes mid[i]."""
+    out = b.copy()
+    act = np.flatnonzero(a < b)
+    a, b, mid = a[act], b[act], mid[act]
+    while len(act):
+        go = below(entry(act, mid), target)
+        a, b = np.where(go, mid + 1, a), np.where(go, b, mid)
+        done = a == b
+        out[act[done]] = a[done]
+        act, a, b = act[~done], a[~done], b[~done]
+        mid = (a + b) // 2
+    return out
 
-    Each round probes the weighted median of the active medians and clips
-    every array past it, discarding at least a quarter of the remaining
-    mass, so the predicate runs O(log total) times.
+
+def multi_array_search(row_value: Callable, lo, hi,
+                       probe: Callable[[float], bool]) -> float:
+    """Smallest entry on which the monotone (false-then-true) predicate is
+    true, over the non-decreasing rows r with entries row_value(r, j) for
+    lo[r] <= j < hi[r]; row_value takes two index arrays.
+
+    All rows move in lockstep.  Each round probes the weighted median of
+    the live rows' medians and clips every live row past it, discarding
+    at least a quarter of the remaining mass, so the predicate runs
+    O(log total) times.  A clip starts at the row's median, already
+    compared, and tries its neighbour: that ends the pivot's own row.
     """
-    active = [(0, len(arr)) for arr in arrays]
+    live = np.flatnonzero(np.less(lo, hi))
+    a, b = np.take(lo, live), np.take(hi, live)
     best = None
-    while True:
-        meds = []
-        total = 0
-        for idx, (lo, hi) in enumerate(active):
-            if lo >= hi:
-                continue
-            w = hi - lo
-            meds.append((arrays[idx][(lo + hi) // 2], idx, w))
-            total += w
-        if not meds:
-            break
-        counters.add("multiarray_touches", len(meds))
-        meds.sort(key=lambda m: (m[0], m[1]))
-        acc = 0
-        pivot = meds[-1][0]
-        for v, _, w in meds:
-            acc += w
-            if 2 * acc >= total:
-                pivot = v
-                break
+    while len(live):
+        m = (a + b) // 2
+        meds = row_value(live, m)
+        order = meds.argsort()  # equal medians are adjacent in any order
+        acc = np.cumsum((b - a)[order])
+        pivot = float(meds[order[np.argmax(2 * acc >= acc[-1])]])
+        counters.add("multiarray_touches", len(live))
         counters.add("multiarray_probes")
-        if probe(pivot):
-            if best is None or pivot < best:
-                best = pivot
-            for i, (lo, hi) in enumerate(active):
-                if lo < hi:
-                    active[i] = (lo, bisect_left(arrays[i], pivot, lo, hi))
-        else:
-            for i, (lo, hi) in enumerate(active):
-                if lo < hi:
-                    active[i] = (bisect_right(arrays[i], pivot, lo, hi), hi)
+        feasible = probe(pivot)
+        if feasible and (best is None or pivot < best):
+            best = pivot
+        below = np.less if feasible else np.less_equal  # bisect_left/_right
+        go = below(meds, pivot)
+        a2, b2 = np.where(go, m + 1, a), np.where(go, b, m)
+        cut = _bisect(lambda i, js: row_value(live[i], js), a2, b2,
+                      np.where(go, a2, b2 - 1), below, pivot)
+        a, b = (a, cut) if feasible else (cut, b)
+        keep = a < b
+        live, a, b = live[keep], a[keep], b[keep]
     if best is None:
         raise NotFound("predicate is false on every array value")
     return best
 
 
-class _SuffixDistances:
-    """Lazy sorted view: squared distances from p to the staircase points
-    (xs[i], ys[i]) for start <= i < end.
-
-    Sortedness holds because distances from a skyline point grow
-    monotonically along the staircase to its right.
-    """
-
-    __slots__ = ("xs", "ys", "start", "end", "px", "py")
-
-    def __init__(self, xs: list[float], ys: list[float], start: int,
-                 end: int, p: Point):
-        self.xs = xs
-        self.ys = ys
-        self.start = start
-        self.end = end
-        self.px = p.x
-        self.py = p.y
-
-    def __len__(self) -> int:
-        return self.end - self.start
-
-    def __getitem__(self, j: int) -> float:
-        i = self.start + j
-        dx = self.px - self.xs[i]  # as dist_sq(p, q)
-        dy = self.py - self.ys[i]
+def _distances(xs: np.ndarray, ys: np.ndarray, anchor: Callable):
+    """row_value: squared distances from anchor(rows) to the points js."""
+    def row_value(rows, js):
+        ax, ay = anchor(rows)
+        dx = ax - xs[js]  # as dist_sq(anchor, q)
+        dy = ay - ys[js]
         return dx * dx + dy * dy
+    return row_value
+
+
+def _matrix_rows(S: SkylineArray):
+    """The h-1 rows d(S[r], S[j]), r < j < h, of the sorted distance
+    matrix, as multi_array_search takes them."""
+    xs, ys = np.array(S.xs, dtype=float), np.array(S.ys, dtype=float)
+    h = len(xs)
+    return (_distances(xs, ys, lambda rows: (xs[rows], ys[rows])),
+            np.arange(1, h), np.full(h - 1, h))
 
 
 def solve_via_matrix(P: PointSet, k: int) -> SolveResult:
-    """Multi-array search over the h-1 increasing rows d(S[i], S[j > i])
+    """Multi-array search over the h-1 increasing rows d(S[r], S[j > r])
     of the sorted distance matrix, one materialized decision per probe.
 
     For k < h the optimum is positive, so it lies in those rows; the last
@@ -213,13 +221,11 @@ def solve_via_matrix(P: PointSet, k: int) -> SolveResult:
     P.require_nonempty()
     if k < 1:
         raise ValueError("k must be >= 1")
-    S = skyline_optimal(P)
-    h = len(S)
-    if k >= h:
+    S = slow_skyline(P)
+    if k >= len(S):
         return SolveResult(0.0, tuple(S), "matrix")
-    ys = [q.y for q in S]
-    rows = [_SuffixDistances(S.xs, ys, i + 1, h, S[i]) for i in range(h - 1)]
-    lam = multi_array_search(rows, lambda v: decide_materialized(S, k, v).feasible)
+    lam = multi_array_search(*_matrix_rows(S),
+                             lambda v: decide_materialized(S, k, v).feasible)
     lam += 0.0  # normalizes -0.0
     out = decide_materialized(S, k, lam)
     if not out.feasible:
@@ -227,28 +233,26 @@ def solve_via_matrix(P: PointSet, k: int) -> SolveResult:
     return SolveResult(lam, out.centers, "matrix")
 
 
-def _suffix_arrays(G: GroupedSkyline, p: Point) -> list[_SuffixDistances]:
-    arrays = []
-    lo = 0
-    for hi in G.groups:
-        start = bisect_left(G.xs, p.x, lo, hi)
-        if start < hi:
-            arrays.append(_SuffixDistances(G.xs, G.ys, start, hi, p))
-        lo = hi
-    return arrays
+def _suffix_rows(G: GroupedSkyline, cols, p: Point):
+    """One row per group: the distances from p to its stored points at
+    x >= x(p), as multi_array_search takes them, over ``cols``, G's
+    columns and group ends as arrays."""
+    lo = [bisect_left(G.xs, p.x, a, b) for a, b in zip([0, *G.groups], G.groups)]
+    return _distances(cols[0], cols[1], lambda rows: (p.x, p.y)), lo, cols[2]
 
 
-def _bracket_step(G: GroupedSkyline, p: Point,
+def _bracket_step(G: GroupedSkyline, cols, p: Point,
                   decider: Callable[[float], bool]):
     """One greedy step resolved against the unknown optimum lam*.
 
     Returns (point, s) where s is the smallest feasible squared distance
     among the suffix candidates of p (None when the boundary checks short
-    circuit).  The point is nrp(p, f) for f = the largest suffix candidate
-    below s: that is the greedy step for every radius in (f, s), in
-    particular for lam* whenever lam* < s.  When lam* == s the true step
-    is nrp(p, s) instead; callers that cannot tell pick the f-step, which
-    the solver's global recovery makes harmless.
+    circuit).  No candidate lies between s and f, the largest one below
+    s, so nrp(p, r) for r the float just below s is nrp(p, f): the greedy
+    step for every radius in (f, s), in particular for lam* whenever
+    lam* < s.  When lam* == s the true step is nrp(p, s) instead; callers
+    that cannot tell pick the f-step, which the solver's global recovery
+    makes harmless.
     """
     if decider(0.0):
         return p, 0.0
@@ -256,14 +260,8 @@ def _bracket_step(G: GroupedSkyline, p: Point,
         # lam* exceeds every suffix distance from p: the whole suffix is
         # within reach and the step lands on the last skyline point.
         return G.q0, None
-    arrays = _suffix_arrays(G, p)
-    s = multi_array_search(arrays, decider)
-    f = 0.0
-    for arr in arrays:
-        i = bisect_left(arr, s)
-        if i > 0 and arr[i - 1] > f:
-            f = arr[i - 1]
-    return next_relevant_point(G, p, f), s
+    s = multi_array_search(*_suffix_rows(G, cols, p), decider)
+    return next_relevant_point(G, p, math.nextafter(s, 0.0)), s
 
 
 def solve_parametric(P: PointSet, k: int) -> SolveResult:
@@ -288,6 +286,8 @@ def solve_parametric(P: PointSet, k: int) -> SolveResult:
         return solve_via_matrix(P, k)
     kappa = min(n, max(1, math.ceil(k ** 3 * math.log2(n) ** 2)))
     G = build(P, kappa)
+    cols = (np.array(G.xs, dtype=float), np.array(G.ys, dtype=float),
+            np.array(G.groups))
 
     def decider(lam_sq: float) -> bool:
         return decide_grouped(G, k, lam_sq).feasible
@@ -295,8 +295,8 @@ def solve_parametric(P: PointSet, k: int) -> SolveResult:
     smallest_feasible = None
     left = G.p0
     for _ in range(k):
-        c, s1 = _bracket_step(G, left, decider)
-        r, s2 = _bracket_step(G, c, decider)
+        c, s1 = _bracket_step(G, cols, left, decider)
+        r, s2 = _bracket_step(G, cols, c, decider)
         for s in (s1, s2):
             if s is not None and (smallest_feasible is None or s < smallest_feasible):
                 smallest_feasible = s

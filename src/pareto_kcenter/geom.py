@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -154,16 +154,25 @@ def extremes(P: PointSet) -> tuple[Point, Point]:
 
 class SkylineArray:
     """Skyline points sorted by strictly increasing x (so strictly
-    decreasing y), stored for binary searches along either coordinate."""
+    decreasing y), stored as the columns ``xs`` and ``ys``.  Built from
+    Points, it keeps them; from the columns (xs, ys), it makes Points on
+    first use of ``pts``, indexing or iteration."""
 
-    __slots__ = ("pts", "xs")
+    __slots__ = ("xs", "ys", "_pts")
 
-    def __init__(self, pts: Sequence[Point]):
-        self.pts: tuple[Point, ...] = tuple(pts)
-        self.xs: list[float] = [p.x for p in self.pts]
+    def __init__(self, pts: Iterable[Point] = (), cols=None):
+        self._pts: tuple[Point, ...] | None = None if cols else tuple(pts)
+        self.xs, self.ys = cols or ([p.x for p in self._pts],
+                                    [p.y for p in self._pts])
+
+    @property
+    def pts(self) -> tuple[Point, ...]:
+        if self._pts is None:
+            self._pts = tuple(map(Point, self.xs, self.ys))
+        return self._pts
 
     def __len__(self) -> int:
-        return len(self.pts)
+        return len(self.xs)
 
     def __getitem__(self, i):
         return self.pts[i]

@@ -46,7 +46,7 @@ def slow_skyline(P: PointSet) -> SkylineArray:
     keep = np.ones(n, dtype=bool)
     keep[:-1] = ys[:-1] > np.maximum.accumulate(ys[::-1])[::-1][1:]
     sky = P.xy[P.order[keep]]
-    return SkylineArray(map(Point, sky[:, 0].tolist(), sky[:, 1].tolist()))
+    return SkylineArray(cols=(sky[:, 0].tolist(), sky[:, 1].tolist()))
 
 
 def skyline_bounded(P: PointSet, s: int) -> BoundedResult:

@@ -376,6 +376,20 @@ class TestBenchCommand:
             digests[method] = row.split("\t")[header.split("\t").index("digest")]
         assert digests["matrix"] == digests["parametric"]
 
+    def test_matrix_route_shows_its_search(self, capsys):
+        rows = {}
+        for method in ("matrix", "parametric"):
+            code, out, err = run_cli(capsys, "bench", "--generator",
+                                     "staircase", "--n", "300", "--k", "3",
+                                     "--method", method, "--seed", "4")
+            assert code == 0, (method, err)
+            header, row = out.strip().splitlines()
+            rows[method] = dict(zip(header.split("\t"), row.split("\t")))
+        matrix = rows["matrix"]
+        assert int(matrix["multiarray_probes"]) > 0
+        assert int(matrix["multiarray_touches"]) >= int(matrix["multiarray_probes"])
+        assert matrix["digest"] == rows["parametric"]["digest"]
+
     def test_unknown_method_exits_2_before_the_table(self, capsys):
         code, out, err = run_cli(capsys, "bench", "--n", "64",
                                  "--method", "fastest")

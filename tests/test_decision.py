@@ -1,15 +1,20 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pareto_kcenter.decision import decide_grouped, decide_materialized
 from pareto_kcenter.geom import Point, PointSet, dist_sq
 from pareto_kcenter.grouped import build
+from pareto_kcenter.instrument import counters
 from pareto_kcenter.oracle import brute_psi_sq, brute_skyline
 from pareto_kcenter.skyline import slow_skyline
 
-from conftest import STAIR4, random_pointset
+import search_reference
+from conftest import (RAW_POINTS, SCALES, STAIR4, random_pointset,
+                      scaled_pointset)
 
 
 def stair4_sky():
@@ -146,3 +151,33 @@ def test_negative_or_nan_radius_rejected(lam_sq):
         decide_materialized(slow_skyline(P), 2, lam_sq)
     with pytest.raises(ValueError):
         decide_grouped(build(P, 2), 2, lam_sq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SCALES, RAW_POINTS, st.integers(1, 5))
+def test_galloping_equals_linear_scan_at_every_scale(scale, raw, k):
+    sky = slow_skyline(scaled_pointset(scale, raw))
+    radii = {0.0}
+    for a, b in itertools.combinations(sky, 2):
+        d = dist_sq(a, b)
+        radii |= {d, math.nextafter(d, -math.inf), math.nextafter(d, math.inf)}
+    for lam_sq in sorted(radii):
+        if lam_sq >= 0:
+            assert (decide_materialized(sky, k, lam_sq)
+                    == search_reference.linear_decide(sky, k, lam_sq))
+
+
+def test_galloping_distance_bound():
+    h = 4096
+    P = PointSet(np.column_stack([np.arange(h) * 1.5,
+                                  (h - np.arange(h)) * 0.75]))
+    sky = slow_skyline(P)
+    assert len(sky) == h
+    bound_per_center = 2 * (2 * math.ceil(math.log2(h + 1)) + 3)
+    for k in (1, 2, 8, 64):
+        for j in (1, 7, 100, 1000, h - 1):
+            for lam_sq in (0.0, dist_sq(sky[0], sky[j])):
+                counters.reset()
+                out = decide_materialized(sky, k, lam_sq)
+                assert counters.get("dist_evals") <= k * bound_per_center
+                assert out == search_reference.linear_decide(sky, k, lam_sq)

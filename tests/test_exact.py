@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,13 +14,14 @@ from pareto_kcenter.exact import (SortedDistanceMatrix, matrix_select,
                                   multi_array_search, solve_parametric,
                                   solve_via_matrix)
 from pareto_kcenter.geom import PointSet, dist_sq
-from pareto_kcenter.grouped import build
+from pareto_kcenter.grouped import build, next_relevant_point
 from pareto_kcenter.instrument import counters
 from pareto_kcenter.oracle import brute_opt, brute_psi_sq, brute_skyline
 from pareto_kcenter.skyline import slow_skyline
 
-from conftest import (RAW_POINTS, SCALES, STAIR3, STAIR4, random_pointset,
-                      scaled_pointset)
+import search_reference
+from conftest import (RAW_POINTS, SCALE_VALUES, SCALES, STAIR3, STAIR4,
+                      random_pointset, scaled_pointset)
 
 
 def sky_of(coords):
@@ -108,7 +110,8 @@ class TestSolveViaMatrix:
 
     def test_infeasible_final_radius_raises(self, monkeypatch):
         # A search answering 0 yields an infeasible selected radius.
-        monkeypatch.setattr(exact, "multi_array_search", lambda a, probe: 0.0)
+        monkeypatch.setattr(exact, "multi_array_search",
+                            lambda row_value, lo, hi, probe: 0.0)
         with pytest.raises(InternalInvariantViolation):
             solve_via_matrix(PointSet.from_coords(STAIR4), 2)
 
@@ -137,17 +140,29 @@ class TestSolveViaMatrix:
             assert solve_parametric(P, k).lambda_star_sq == want
 
 
+def search_lists(arrays, probe):
+    """multi_array_search over sorted lists, packed as the rows of a
+    matrix padded with +inf past each list's end."""
+    width = max(1, max(map(len, arrays)))
+    M = np.full((len(arrays), width), np.inf)
+    for r, arr in enumerate(arrays):
+        M[r, :len(arr)] = arr
+    return multi_array_search(lambda rows, js: M[rows, js],
+                              np.zeros(len(arrays), dtype=np.int64),
+                              np.array([len(arr) for arr in arrays]), probe)
+
+
 class TestMultiArraySearch:
     def test_merged_order(self):
-        assert multi_array_search([[1.0, 3.0, 5.0], [2.0, 4.0]],
-                                  lambda v: v >= 3.5) == 4.0
+        assert search_lists([[1.0, 3.0, 5.0], [2.0, 4.0]],
+                            lambda v: v >= 3.5) == 4.0
 
     def test_singleton(self):
-        assert multi_array_search([[7.0]], lambda v: True) == 7.0
+        assert search_lists([[7.0]], lambda v: True) == 7.0
 
     def test_all_false_raises(self):
         with pytest.raises(NotFound):
-            multi_array_search([[1.0, 2.0]], lambda v: False)
+            search_lists([[1.0, 2.0]], lambda v: False)
 
     def test_matches_merge_and_scan(self, rng):
         for _ in range(150):
@@ -161,7 +176,7 @@ class TestMultiArraySearch:
             want = next((v for v in merged if v >= thr), None)
             if want is None:
                 continue
-            assert multi_array_search(arrays, lambda v: v >= thr) == want
+            assert search_lists(arrays, lambda v: v >= thr) == want
 
     def test_probe_and_touch_counts(self, rng):
         for _ in range(40):
@@ -173,7 +188,7 @@ class TestMultiArraySearch:
             thr = rng.uniform(0, 1000)
             counters.reset()
             try:
-                multi_array_search(arrays, lambda v: v >= thr)
+                search_lists(arrays, lambda v: v >= thr)
             except NotFound:
                 continue
             log_total = math.log2(total + 2)
@@ -222,7 +237,8 @@ class TestSolveParametric:
 
     def test_infeasible_final_radius_raises(self, monkeypatch):
         # Every search answering 0 yields an infeasible recovered radius.
-        monkeypatch.setattr(exact, "multi_array_search", lambda a, probe: 0.0)
+        monkeypatch.setattr(exact, "multi_array_search",
+                            lambda row_value, lo, hi, probe: 0.0)
         P = PointSet.from_coords([(i, 19 - i) for i in range(20)])
         with pytest.raises(InternalInvariantViolation):
             solve_parametric(P, 2)
@@ -259,3 +275,91 @@ def test_solvers_and_deciders_agree_at_every_scale(scale, raw, k):
         for lam_sq in radii:
             assert decide_grouped(G, k, lam_sq) == decide_materialized(sky, k,
                                                                        lam_sq)
+
+
+def both_engines(rows, ref_rows, thr):
+    """Run the lockstep engine on rows and the plain-Python reference on
+    ref_rows with the predicate v >= thr: the result, the probed pivots
+    and the two search counters of each, all as exact values."""
+    runs = []
+    for search, args in ((multi_array_search, rows),
+                         (search_reference.multi_array_search, (ref_rows,))):
+        pivots = []
+
+        def probe(v):
+            pivots.append(v.hex())
+            return v >= thr
+
+        counters.reset()
+        try:
+            got = search(*args, probe).hex()
+        except NotFound:
+            got = None
+        runs.append((got, pivots, counters.get("multiarray_probes"),
+                     counters.get("multiarray_touches")))
+    return runs
+
+
+def threshold(data, ref_rows):
+    """An entry, the float on either side of one, or past every entry."""
+    entries = sorted({row[j] for row in ref_rows for j in range(len(row))})
+    v = data.draw(st.sampled_from(entries))
+    return data.draw(st.sampled_from(
+        [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf),
+         math.nextafter(entries[-1], math.inf)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SCALES, RAW_POINTS, st.data())
+def test_lockstep_engine_equals_reference_on_matrix_rows(scale, raw, data):
+    S = slow_skyline(scaled_pointset(scale, raw))
+    if len(S) < 2:
+        return
+    ref_rows = search_reference.matrix_rows(S)
+    thr = threshold(data, ref_rows)
+    new, old = both_engines(exact._matrix_rows(S), ref_rows, thr)
+    assert new == old
+
+
+@settings(max_examples=60, deadline=None)
+@given(SCALES, RAW_POINTS, st.data())
+def test_lockstep_engine_equals_reference_on_group_suffixes(scale, raw, data):
+    P = scaled_pointset(scale, raw)
+    for kappa in {1, 2, len(P)}:
+        G = build(P, kappa)
+        cols = (np.array(G.xs), np.array(G.ys), np.array(G.groups))
+        for p in slow_skyline(P):
+            ref_rows = search_reference.suffix_rows(G, p)
+            thr = threshold(data, ref_rows)
+            new, old = both_engines(exact._suffix_rows(G, cols, p), ref_rows,
+                                    thr)
+            assert new == old
+            if new[0] is not None:
+                # the bracket step's radius just below s gives the step
+                # at f, the largest entry below s
+                s = float.fromhex(new[0])
+                f = search_reference.largest_below(ref_rows, s)
+                assert (next_relevant_point(G, p, math.nextafter(s, 0.0))
+                        == next_relevant_point(G, p, f))
+
+
+@pytest.mark.parametrize("scale", SCALE_VALUES)
+def test_lockstep_engine_equals_reference_with_tied_rows(scale):
+    # equal steps: each distance recurs in many rows, and in a group's
+    # suffix every pivot meets its equals in the other rows
+    P = PointSet.from_coords([(i * scale, (23 - i) * scale)
+                              for i in range(24)])
+    S = slow_skyline(P)
+    ref_rows = search_reference.matrix_rows(S)
+    entries = sorted({row[j] for row in ref_rows for j in range(len(row))})
+    for thr in entries + [math.nextafter(v, math.inf) for v in entries]:
+        new, old = both_engines(exact._matrix_rows(S), ref_rows, thr)
+        assert new == old
+    G = build(P, 5)
+    cols = (np.array(G.xs), np.array(G.ys), np.array(G.groups))
+    for p in S[::4]:
+        ref_rows = search_reference.suffix_rows(G, p)
+        for thr in entries:
+            new, old = both_engines(exact._suffix_rows(G, cols, p), ref_rows,
+                                    thr)
+            assert new == old
