@@ -2,8 +2,6 @@
 2-approximation, and the (1+eps)-approximation built on top of it.
 """
 
-import math
-
 from pareto_kcenter import (InstanceSpec, approx_solve, generate,
                             gonzalez_2approx, solve_one_center,
                             solve_via_matrix)
@@ -20,19 +18,19 @@ print(f"1-center: lambda* = {res.lambda_star:.3f} using "
 assert res.lambda_star_sq == solve_via_matrix(P, 1).lambda_star_sq
 
 k = 5
-centers, psi_sq = gonzalez_2approx(P, k)
-print(f"farthest-first k={k}: psi = {math.sqrt(psi_sq):.3f} "
+two = gonzalez_2approx(P, k)
+print(f"farthest-first k={k}: psi = {two.lambda_star:.3f} "
       f"(guaranteed within 2x of optimal)")
 
 for eps in (0.5, 0.1, 0.01):
-    _, approx_sq = approx_solve(P, k, eps)
-    print(f"  (1+{eps}) refinement: radius <= {math.sqrt(approx_sq):.4f}")
+    res = approx_solve(P, k, eps)
+    print(f"  (1+{eps}) refinement: radius <= {res.lambda_star:.4f}")
 
 # On a small instance, compare everything against the exact value.
 Q = generate(InstanceSpec("clustered", n=400, seed=3))
 opt = brute_opt(Q, k)
-_, g = gonzalez_2approx(Q, k)
-_, a = approx_solve(Q, k, 0.01)
+g = gonzalez_2approx(Q, k).lambda_star_sq
+a = approx_solve(Q, k, 0.01).lambda_star_sq
 print(f"small instance: opt^2 = {opt:.4f}, gonzalez^2 = {g:.4f}, "
       f"approx(0.01)^2 = {a:.4f}")
 assert g <= 4 * opt and a <= 1.01 ** 2 * opt

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -80,46 +79,42 @@ class RunReport:
     hashes the sorted center coordinates plus the exact squared radius,
     so identical results collide and any difference shows."""
 
-    method: str
+    result: SolveResult
     n: int
     h: int
     k: int
-    lambda_star_sq: float
-    centers: tuple
     time_ms: float
     counters: dict = field(default_factory=dict)
 
     @property
-    def lambda_star(self) -> float:
-        return math.sqrt(self.lambda_star_sq)
-
-    @property
     def digest(self) -> str:
-        return _digest(self.centers, self.lambda_star_sq)
+        return _digest(self.result.centers, self.result.lambda_star_sq)
 
     def kv_lines(self):
-        yield f"method={self.method}"
+        res = self.result
+        yield f"method={res.algorithm}"
         yield f"n={self.n}"
         yield f"h={self.h}"
         yield f"k={self.k}"
-        yield f"lambda_star={self.lambda_star:.12f}"
-        yield f"lambda_star_sq={self.lambda_star_sq.hex()}"
-        yield f"centers={len(self.centers)}"
-        for c in self.centers:
+        yield f"lambda_star={res.lambda_star:.12f}"
+        yield f"lambda_star_sq={res.lambda_star_sq.hex()}"
+        yield f"centers={len(res.centers)}"
+        for c in res.centers:
             yield f"center={fmt_coord(c.x)} {fmt_coord(c.y)}"
         yield f"digest={self.digest}"
         for key in sorted(self.counters):
             yield f"counter.{key}={self.counters[key]}"
 
     def to_json_obj(self) -> dict:
+        res = self.result
         return {
-            "method": self.method,
+            "method": res.algorithm,
             "n": self.n,
             "h": self.h,
             "k": self.k,
-            "lambda_star": self.lambda_star,
-            "lambda_star_sq_hex": self.lambda_star_sq.hex(),
-            "centers": [[c.x, c.y] for c in self.centers],
+            "lambda_star": res.lambda_star,
+            "lambda_star_sq_hex": res.lambda_star_sq.hex(),
+            "centers": [[c.x, c.y] for c in res.centers],
             "digest": self.digest,
             "time_ms": self.time_ms,
             "counters": self.counters,
@@ -168,10 +163,11 @@ def _size(text: str | None) -> int:
     return int(text)
 
 
-# solve/plot/bench --method: run(P, k, parameter) gives a SolveResult or
-# (centers, radius).  solve_parametric makes auto's choice of route.
+# solve/plot/bench --method: run(P, k, parameter) gives a SolveResult.
+# Each name runs one route; auto alone chooses one, by k^4 >= n.
 SOLVERS = {
-    "auto": Route(lambda P, k, _: solve_parametric(P, k)),
+    "auto": Route(lambda P, k, _: (solve_via_matrix if k ** 4 >= len(P)
+                                   else solve_parametric)(P, k)),
     "matrix": Route(lambda P, k, _: solve_via_matrix(P, k)),
     "parametric": Route(lambda P, k, _: solve_parametric(P, k)),
     "one-center": Route(lambda P, k, _: solve_one_center(P), max_k=1),
@@ -195,19 +191,13 @@ SOLVER_HELP = " | ".join(f"{name} ({route.guarantee})"
 
 
 def solver(method: str, ks) -> Callable:
-    """run(P, k) -> (tag, lambda_sq, centers) for a --method name, once
-    every k in ks, the name and its parameter have been checked."""
+    """run(P, k) -> SolveResult for a --method name, once every k in ks,
+    the name and its parameter have been checked."""
     _at_least_1("k", *ks)
     route, param = _lookup(SOLVERS, method, "method")
     if route.max_k is not None and max(ks) > route.max_k:
         raise InputError(f"{method} requires k={route.max_k}")
-
-    def run(P: PointSet, k: int):
-        out = route.run(P, k, param)
-        if isinstance(out, SolveResult):
-            return out.algorithm, out.lambda_star_sq, out.centers
-        return method, out[1], out[0]  # out is (centers, radius)
-    return run
+    return lambda P, k: route.run(P, k, param)
 
 
 def _timed(fn, *args):
@@ -282,9 +272,9 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()  # time_ms covers the read and h too
     P = _load(args.input)
     run = solver(args.method, [args.k])
-    (tag, lam_sq, centers), _, snap = _timed(run, P, args.k)
+    res, _, snap = _timed(run, P, args.k)
     h = len(slow_skyline(P))
-    report = RunReport(tag, len(P), h, args.k, lam_sq, tuple(centers),
+    report = RunReport(res, len(P), h, args.k,
                        (time.perf_counter() - started) * 1e3, snap)
     if args.json:
         print(json.dumps(report.to_json_obj(), sort_keys=True))
@@ -295,20 +285,20 @@ def cmd_solve(args) -> int:
 
 
 def _bench_radius(P: PointSet, k: int) -> float:
-    _, psi_sq = gonzalez_2approx(P, k)
+    psi_sq = gonzalez_2approx(P, k).lambda_star_sq
     return 0.98 * psi_sq / 4.0  # just below opt/2-ish: forces k rounds
 
 
 # bench --method, beyond the solvers: (untimed set-up that picks the
-# radius, or None; timed call(P, k, radius) -> (lambda_sq, centers)).
+# radius, or None; timed call(P, k, radius) -> SolveResult).
 BENCH_JOBS = {
-    **{f"skyline-{name}": (None, lambda P, k, _, r=route:
-                           (0.0, r.run(P, None).pts))
+    **{f"skyline-{name}": (None, lambda P, k, _, r=route, tag=f"skyline-{name}":
+                           SolveResult(0.0, r.run(P, None).pts, tag))
        for name, route in SKYLINES.items() if route.parse is None},
-    "decide-materialized": (_bench_radius, lambda P, k, lam_sq:
-                            (lam_sq, _decide(P, k, lam_sq, None).centers)),
-    "decide-grouped": (_bench_radius, lambda P, k, lam_sq:
-                       (lam_sq, _decide(P, k, lam_sq, k).centers)),
+    "decide-materialized": (_bench_radius, lambda P, k, lam_sq: SolveResult(
+        lam_sq, _decide(P, k, lam_sq, None).centers, "decide-materialized")),
+    "decide-grouped": (_bench_radius, lambda P, k, lam_sq: SolveResult(
+        lam_sq, _decide(P, k, lam_sq, k).centers, "decide-grouped")),
 }
 
 BENCH_COUNTERS = ("skyline_comparisons", "binary_searches",
@@ -327,9 +317,9 @@ def cmd_bench(args) -> int:
     _at_least_1("k", *ks)
     if args.method in BENCH_JOBS:
         setup, timed = BENCH_JOBS[args.method]
-    else:  # a solver: drop the tag of (tag, lambda_sq, centers)
+    else:
         run = solver(args.method, ks)
-        setup, timed = None, lambda P, k, _: run(P, k)[1:]
+        setup, timed = None, lambda P, k, _: run(P, k)
     cols = ["gen", "n", "h", "k", "method", "ms", *BENCH_COUNTERS,
             "t_ratio", "c_ratio", "digest"]
     print("\t".join(cols))
@@ -340,7 +330,7 @@ def cmd_bench(args) -> int:
         for n in ns:
             P = generate(InstanceSpec(args.generator, n, seed))
             lam_sq = setup(P, k) if setup else 0.0
-            (lam_sq, centers), secs, snap = _timed(timed, P, k, lam_sq)
+            res, secs, snap = _timed(timed, P, k, lam_sq)
             h = len(slow_skyline(P))  # after the snapshot
             lead = snap.get(lead_counter, 0)
             t_ratio = c_ratio = ""
@@ -354,22 +344,23 @@ def cmd_bench(args) -> int:
             row = [args.generator, str(n), str(h), str(k), args.method,
                    f"{secs * 1e3:.2f}",
                    *[str(snap.get(c, 0)) for c in BENCH_COUNTERS],
-                   t_ratio, c_ratio, _digest(centers, lam_sq)]
+                   t_ratio, c_ratio, _digest(res.centers, res.lambda_star_sq)]
             print("\t".join(row))
     return EXIT_OK
 
 
 def cmd_plot(args) -> int:
     P = _load(args.input)
-    tag, lam_sq, centers = solver(args.method, [args.k])(P, args.k)
+    res = solver(args.method, [args.k])(P, args.k)
     sky = slow_skyline(P)
-    doc = render_svg(P, sky, centers, math.sqrt(lam_sq))
+    doc = render_svg(P, sky, res.centers, res.lambda_star)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(doc)
     except OSError as exc:
         raise InputError(str(exc))
-    print(f"wrote {args.out} method={tag} lambda_star={math.sqrt(lam_sq):.12f}")
+    print(f"wrote {args.out} method={res.algorithm} "
+          f"lambda_star={res.lambda_star:.12f}")
     return EXIT_OK
 
 

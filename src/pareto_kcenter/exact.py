@@ -11,6 +11,9 @@ over coordinate columns and moves all rows in lockstep with numpy:
   resolving each step by a search over the per-group suffixes of
   distances from the step's point, with the grouped decision.
 
+Each solver always runs its own route; the CLI's ``auto`` entry is the
+only code that chooses between them.
+
 Distances are kept squared throughout; squaring is monotone on
 distances, so every row stays sorted.  numpy rounds dx*dx + dy*dy per
 element as Python does, so every entry is the float dist_sq gives.
@@ -274,16 +277,11 @@ def solve_parametric(P: PointSet, k: int) -> SolveResult:
     binding distance -- a suffix candidate of that step's query point --
     equals opt.)  A final decision at the recovered value certifies it
     and yields the centers.
-
-    For k >= n^(1/4) the matrix route is already optimal and is used
-    directly.
     """
     P.require_nonempty()
     if k < 1:
         raise ValueError("k must be >= 1")
     n = len(P)
-    if k ** 4 >= n:
-        return solve_via_matrix(P, k)
     kappa = min(n, max(1, math.ceil(k ** 3 * math.log2(n) ** 2)))
     G = build(P, kappa)
     cols = (np.array(G.xs, dtype=float), np.array(G.ys, dtype=float),

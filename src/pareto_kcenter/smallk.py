@@ -98,22 +98,22 @@ def solve_one_center(P: PointSet) -> SolveResult:
     return SolveResult(lam_sq, (r_star,), "one-center")
 
 
-def gonzalez_2approx(P: PointSet, k: int) -> tuple[list[Point], float]:
+def gonzalez_2approx(P: PointSet, k: int) -> SolveResult:
     """Farthest-first traversal seeded with both skyline extremes.
 
-    Returns (centers, psi_sq) with psi within twice the optimum (squared:
-    within four times).  The final round evaluates the true covering
-    radius of the chosen centers.
+    Its radius psi is within twice the optimum (squared: within four
+    times).  The final round evaluates the true covering radius of the
+    chosen centers.
     """
     P.require_nonempty()
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         res = solve_one_center(P)
-        return list(res.centers), res.lambda_star_sq
+        return SolveResult(res.lambda_star_sq, res.centers, "gonzalez")
     p0, q0 = extremes(P)
     if dist_sq(p0, q0) == 0.0:  # p0 == q0, or their distance underflows
-        return [p0], 0.0
+        return SolveResult(0.0, (p0,), "gonzalez")
     centers = [p0, q0]
     x = P.xy[:, 0]
     slabs = [_slab(p0, q0, P.xy[(x > p0.x) & (x < q0.x)])]
@@ -127,7 +127,8 @@ def gonzalez_2approx(P: PointSet, k: int) -> tuple[list[Point], float]:
         x = members[:, 0]
         slabs[i:i + 1] = [_slab(left, c, members[x < c.x]),
                           _slab(c, right, members[x > c.x])]
-    return centers, max(slab[0] for slab in slabs)
+    return SolveResult(max(slab[0] for slab in slabs), tuple(centers),
+                       "gonzalez")
 
 
 def check_epsilon(eps: float) -> None:
@@ -135,7 +136,7 @@ def check_epsilon(eps: float) -> None:
         raise InvalidEpsilon(f"eps must be in (0, 1), got {eps}")
 
 
-def approx_solve(P: PointSet, k: int, eps: float) -> tuple[list[Point], float]:
+def approx_solve(P: PointSet, k: int, eps: float) -> SolveResult:
     """(1+eps)-approximation: bracket the optimum with the farthest-first
     radius, then binary search a grid of ~2/eps radii with the grouped
     decision procedure.  Each grid radius is computed when probed."""
@@ -143,9 +144,11 @@ def approx_solve(P: PointSet, k: int, eps: float) -> tuple[list[Point], float]:
     P.require_nonempty()
     if k < 1:
         raise ValueError("k must be >= 1")
-    centers2, psi2_sq = gonzalez_2approx(P, k)
+    tag = f"approx:{eps!r}"
+    two_approx = gonzalez_2approx(P, k)
+    psi2_sq = two_approx.lambda_star_sq
     if psi2_sq == 0.0:
-        return centers2, 0.0
+        return SolveResult(0.0, two_approx.centers, tag)
     base = math.sqrt(psi2_sq) / 2.0  # base <= opt <= 2*base
     jmax = math.ceil(2.0 / eps)
 
@@ -167,4 +170,4 @@ def approx_solve(P: PointSet, k: int, eps: float) -> tuple[list[Point], float]:
     out = decide_grouped(G, k, lam_sq)
     if not out.feasible:
         raise InternalInvariantViolation("selected grid radius is not feasible")
-    return list(out.centers), lam_sq
+    return SolveResult(lam_sq, out.centers, tag)

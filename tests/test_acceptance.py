@@ -164,21 +164,21 @@ def test_criterion_7_small_k():
     for i in range(500):
         P = seeded_instance(rng, i, n_max=220, stair_max=140)
         k = rng.randint(1, 8)
-        centers, psi_sq = gonzalez_2approx(P, k)
+        res = gonzalez_2approx(P, k)
         opt = brute_opt(P, k)
-        assert psi_sq <= 4.0 * opt, f"gonzalez instance {i}"
+        assert res.lambda_star_sq <= 4.0 * opt, f"gonzalez instance {i}"
         sky = brute_skyline(P)
-        assert brute_psi_sq(sky, centers) == psi_sq
+        assert brute_psi_sq(sky, res.centers) == res.lambda_star_sq
 
     for i in range(150):
         P = seeded_instance(rng, i, n_max=220, stair_max=140)
         k = rng.randint(1, 6)
         opt = brute_opt(P, k)
         for eps in (0.5, 0.1, 0.01):
-            centers, psi_sq = approx_solve(P, k, eps)
-            assert psi_sq <= (1.0 + eps) ** 2 * opt, \
+            res = approx_solve(P, k, eps)
+            assert res.lambda_star_sq <= (1.0 + eps) ** 2 * opt, \
                 f"approx instance {i}, eps={eps}"
-            assert len(centers) <= k
+            assert len(res.centers) <= k
 
 
 def test_criterion_8_scaling_counters():
@@ -201,7 +201,7 @@ def test_criterion_8_scaling_counters():
     P = generate(InstanceSpec("staircase", n, seed=818))
     ratios = []
     for k in (2, 4, 8, 16, 32, 64):
-        _, psi_sq = gonzalez_2approx(P, k)
+        psi_sq = gonzalez_2approx(P, k).lambda_star_sq
         lam_sq = 0.98 * psi_sq / 4.0  # strictly below opt: forces k rounds
         G = build(P, k)
         counters.reset()

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pareto_kcenter import cli
 from pareto_kcenter.cli import SOLVERS, _digest, main, solver
 from pareto_kcenter.oracle import brute_opt, brute_psi_sq, brute_skyline
 from pareto_kcenter.pointio import read_point_file
@@ -255,6 +256,10 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, "solve", stair4, "--k", "2",
                                "--method", "approx:0.5")
         assert code == 0
+        # approx_solve tags its result, so the spelling of eps is its repr.
+        _, out, _ = run_cli(capsys, "solve", stair4, "--k", "2",
+                            "--method", "approx:.50")
+        assert out.startswith("method=approx:0.5\n")
 
     @pytest.mark.parametrize("eps, shown", [("0", "0.0"), ("2", "2.0"),
                                             ("nan", "nan"), ("-0.5", "-0.5")])
@@ -488,6 +493,17 @@ class TestGoldenSnapshots:
         assert code == 0
         assert out == (GOLDEN / "staircase4_solve.txt").read_text()
 
+    def test_parametric_route_keeps_the_golden_optimum(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", str(GOLDEN / "staircase4.txt"),
+                               "--k", "2", "--method", "parametric")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "method=parametric"
+        golden = (GOLDEN / "staircase4_solve.txt").read_text().splitlines()
+        for key in ("lambda_star_sq=", "digest="):
+            assert ([ln for ln in lines if ln.startswith(key)]
+                    == [ln for ln in golden if ln.startswith(key)])
+
     def test_svg_byte_stable(self, capsys, tmp_path):
         out_path = tmp_path / "golden_check.svg"
         run_cli(capsys, "plot", str(GOLDEN / "staircase4.txt"), "--k", "2",
@@ -511,7 +527,8 @@ def test_every_solver_table_entry_keeps_its_guarantee(name, scale, raw, data):
     sky = brute_skyline(P).pts
     opt = brute_opt(P, k)
     run = solver(name.replace("<eps>", str(TABLE_EPS)), [k])
-    tag, lam_sq, centers = run(P, k)
+    res = run(P, k)
+    tag, lam_sq, centers = res.algorithm, res.lambda_star_sq, res.centers
     assert len(centers) <= k and set(centers) <= set(sky)
     assert brute_psi_sq(sky, centers) <= lam_sq
     if route.guarantee == "exact":
@@ -522,5 +539,22 @@ def test_every_solver_table_entry_keeps_its_guarantee(name, scale, raw, data):
     if tag in ("matrix", "parametric"):
         # The routes that certify with the greedy decision also agree on
         # the centers; one-center picks its own optimal center.
-        _, ref_sq, ref_centers = solver("matrix", [k])(P, k)
-        assert _digest(centers, lam_sq) == _digest(ref_centers, ref_sq)
+        ref = solver("matrix", [k])(P, k)
+        assert _digest(centers, lam_sq) == _digest(ref.centers,
+                                                   ref.lambda_star_sq)
+
+
+def test_auto_reaches_the_rebound_route(monkeypatch):
+    # Span tracing rebinds cli.solve_via_matrix and cli.solve_parametric;
+    # auto must call the name its rule picks as bound when it runs.
+    calls = []
+    for name in ("solve_via_matrix", "solve_parametric"):
+        def record(P, k, name=name, route=getattr(cli, name)):
+            calls.append(name)
+            return route(P, k)
+        monkeypatch.setattr(cli, name, record)
+    for n, want in ((16, "solve_via_matrix"), (17, "solve_parametric")):
+        P = scaled_pointset(1.0, [(i, n - 1 - i, 0, 0) for i in range(n)])
+        calls.clear()
+        solver("auto", [2])(P, 2)
+        assert calls == [want]

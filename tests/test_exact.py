@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pareto_kcenter import exact
+from pareto_kcenter.cli import _digest, solver
 from pareto_kcenter.decision import decide_grouped, decide_materialized
 from pareto_kcenter.errors import (InternalInvariantViolation, NotFound,
                                    RankOutOfRange)
@@ -205,9 +206,19 @@ class TestSolveParametric:
         res = solve_parametric(PointSet.from_coords(STAIR4), 4)
         assert res.lambda_star_sq == 0.0
 
-    def test_delegates_for_large_k(self):
-        P = PointSet.from_coords(STAIR4)
-        assert solve_parametric(P, 2).algorithm == "matrix"  # k^4 >= n
+    def test_only_auto_chooses_the_route(self):
+        # auto's rule at its edge k^4 == n: 16 points take the matrix
+        # route, 17 the parametric one, with the same digest as both
+        # routes; solve_parametric runs its own route at every k.
+        for n, tag in ((16, "matrix"), (17, "parametric")):
+            P = PointSet.from_coords([(i, n - 1 - i) for i in range(n)])
+            res = solver("auto", [2])(P, 2)
+            assert res.algorithm == tag
+            assert len({_digest(r.centers, r.lambda_star_sq) for r in
+                        (res, solve_via_matrix(P, 2), solve_parametric(P, 2))}
+                       ) == 1
+            for k in range(1, n + 2):
+                assert solve_parametric(P, k).algorithm == "parametric"
 
     def test_agrees_with_matrix_and_oracle(self, rng):
         for _ in range(80):
@@ -220,7 +231,7 @@ class TestSolveParametric:
             assert brute_psi_sq(sky, b.centers) == b.lambda_star_sq
 
     def test_deep_path_multiple_groups(self, rng):
-        # large n, small k: the non-delegated route with several groups
+        # large n, small k: the parametric route with several groups
         for seed in range(4):
             local = random.Random(seed)
             n = local.randint(2500, 3500)
@@ -255,6 +266,20 @@ class TestSolveParametric:
             below = [r for r in radii if r < res.lambda_star_sq]
             if below:
                 assert not decide_materialized(sky, k, below[-1]).feasible
+
+
+@pytest.mark.parametrize("scale", SCALE_VALUES)
+@settings(max_examples=25, deadline=None)
+@given(raw=RAW_POINTS)
+def test_parametric_route_equals_oracle_for_every_k(scale, raw):
+    # k runs past h and to n+1, where kappa is clamped to n.
+    P = scaled_pointset(scale, raw)
+    sky = brute_skyline(P)
+    for k in range(1, len(P) + 2):
+        res = solve_parametric(P, k)
+        assert res.algorithm == "parametric"
+        assert res.lambda_star_sq.hex() == brute_opt(P, k).hex()
+        assert brute_psi_sq(sky, res.centers) == res.lambda_star_sq
 
 
 @settings(max_examples=120, deadline=None)

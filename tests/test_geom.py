@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from pareto_kcenter.exact import solve_parametric
+from pareto_kcenter.exact import solve_parametric, solve_via_matrix
 from pareto_kcenter.geom import Point, PointSet, SkylineArray, dist_sq, extremes
 from pareto_kcenter.grouped import build, next_relevant_point
 from pareto_kcenter.oracle import brute_skyline
@@ -72,7 +72,8 @@ class TestPointSet:
         monkeypatch.setattr(PointSet, "points", property(refuse))
         slow_skyline(P)
         build(P, 7)
-        for k in (1, 2, 5):  # 5 ** 4 >= n takes the matrix route
+        for k in (1, 2, 5):
+            solve_via_matrix(P, k)
             solve_parametric(P, k)
             gonzalez_2approx(P, k)
             approx_solve(P, k, 0.1)

@@ -6,7 +6,8 @@ import pytest
 from pareto_kcenter import smallk
 from pareto_kcenter.errors import (DegenerateSpan, InternalInvariantViolation,
                                    InvalidEpsilon)
-from pareto_kcenter.exact import solve_parametric, solve_via_matrix
+from pareto_kcenter.exact import (SolveResult, solve_parametric,
+                                  solve_via_matrix)
 from pareto_kcenter.geom import Point, PointSet, dist_sq
 from pareto_kcenter.instrument import counters
 from pareto_kcenter.oracle import brute_opt, brute_psi_sq, brute_skyline
@@ -70,7 +71,8 @@ class TestSolveOneCenter:
         assert dist_sq(p, q) == 0.0
         res = solve_one_center(PointSet([p, q]))
         assert (res.lambda_star_sq, res.centers) == (0.0, (p,))
-        assert gonzalez_2approx(PointSet([p, q]), 2) == ([p], 0.0)
+        res = gonzalez_2approx(PointSet([p, q]), 2)
+        assert (res.centers, res.lambda_star_sq) == ((p,), 0.0)
 
     def test_matches_exact_solvers(self, rng):
         for _ in range(120):
@@ -90,30 +92,31 @@ class TestSolveOneCenter:
 
 class TestGonzalez:
     def test_spec_trace_on_staircase5(self):
-        centers, psi_sq = gonzalez_2approx(PointSet.from_coords(STAIR5), 3)
-        assert [(c.x, c.y) for c in centers] == [(0, 4), (4, 0), (2, 2)]
-        assert psi_sq == 2.0
+        res = gonzalez_2approx(PointSet.from_coords(STAIR5), 3)
+        assert [(c.x, c.y) for c in res.centers] == [(0, 4), (4, 0), (2, 2)]
+        assert res.lambda_star_sq == 2.0
 
     def test_k_at_least_h_reaches_zero(self):
-        centers, psi_sq = gonzalez_2approx(PointSet.from_coords(STAIR4), 9)
-        assert psi_sq == 0.0
-        assert len(centers) == 4
+        res = gonzalez_2approx(PointSet.from_coords(STAIR4), 9)
+        assert res.lambda_star_sq == 0.0
+        assert len(res.centers) == 4
 
     def test_two_approximation_and_reported_psi(self, rng):
         for _ in range(120):
             P = random_pointset(rng, rng.randint(1, 70))
             k = rng.randint(1, 7)
-            centers, psi_sq = gonzalez_2approx(P, k)
+            res = gonzalez_2approx(P, k)
             sky = brute_skyline(P)
-            assert len(centers) <= k
-            assert all(c in sky.pts for c in centers)
-            assert brute_psi_sq(sky, centers) == psi_sq
-            assert psi_sq <= 4.0 * brute_opt(P, k)
+            assert len(res.centers) <= k
+            assert all(c in sky.pts for c in res.centers)
+            assert brute_psi_sq(sky, res.centers) == res.lambda_star_sq
+            assert res.lambda_star_sq <= 4.0 * brute_opt(P, k)
 
     def test_monotone_improvement_in_k(self, rng):
         for _ in range(40):
             P = random_pointset(rng, rng.randint(2, 50))
-            values = [gonzalez_2approx(P, k)[1] for k in range(2, 7)]
+            values = [gonzalez_2approx(P, k).lambda_star_sq
+                      for k in range(2, 7)]
             assert values == sorted(values, reverse=True)
 
     def test_matches_farthest_first_reference(self, rng):
@@ -123,7 +126,7 @@ class TestGonzalez:
             P = random_pointset(rng, rng.randint(2, 60))
             sky = brute_skyline(P)
             k = rng.randint(2, 8)
-            centers, _ = gonzalez_2approx(P, k)
+            centers = gonzalez_2approx(P, k).centers
             ref = [sky[0], sky[-1]]
             if ref[0] == ref[1]:
                 ref = [sky[0]]
@@ -137,7 +140,7 @@ class TestGonzalez:
                 if min(dist_sq(best, c) for c in ref) == 0.0:
                     break
                 ref.append(best)
-            assert centers == ref
+            assert list(centers) == ref
 
 
 class TestApproxSolve:
@@ -149,14 +152,14 @@ class TestApproxSolve:
 
     def test_exact_when_gonzalez_is_exact(self):
         P = PointSet.from_coords([(0, 1), (1, 0)])
-        centers, psi_sq = approx_solve(P, 2, 0.5)
-        assert psi_sq == 0.0
+        res = approx_solve(P, 2, 0.5)
+        assert res.lambda_star_sq == 0.0
 
     def test_staircase5_tight(self):
         P = PointSet.from_coords(STAIR5)
         opt = brute_opt(P, 2)  # exhaustive over all center pairs
-        _, psi_sq = approx_solve(P, 2, 0.1)
-        assert psi_sq <= 1.21 * opt
+        res = approx_solve(P, 2, 0.1)
+        assert res.lambda_star_sq <= 1.21 * opt
 
     def test_quality_bound(self, rng):
         for _ in range(60):
@@ -165,10 +168,10 @@ class TestApproxSolve:
             opt = brute_opt(P, k)
             sky = brute_skyline(P)
             for eps in (0.5, 0.1, 0.01):
-                centers, psi_sq = approx_solve(P, k, eps)
-                assert len(centers) <= k
-                assert brute_psi_sq(sky, centers) <= psi_sq
-                assert psi_sq <= (1.0 + eps) ** 2 * opt
+                res = approx_solve(P, k, eps)
+                assert len(res.centers) <= k
+                assert brute_psi_sq(sky, res.centers) <= res.lambda_star_sq
+                assert res.lambda_star_sq <= (1.0 + eps) ** 2 * opt
 
     def test_decision_call_budget(self, rng):
         for eps in (0.5, 0.1, 0.01):
@@ -186,17 +189,18 @@ class TestApproxSolve:
         P = PointSet.from_coords([(i, 199 - i) for i in range(200)])
         tracemalloc.start()
         try:
-            centers, psi_sq = approx_solve(P, 3, 1e-5)
+            res = approx_solve(P, 3, 1e-5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-        assert psi_sq > 0.0
-        assert brute_psi_sq(brute_skyline(P), centers) <= psi_sq
+        assert res.lambda_star_sq > 0.0
+        assert brute_psi_sq(brute_skyline(P), res.centers) <= res.lambda_star_sq
 
     def test_infeasible_final_radius_raises(self, monkeypatch):
         # A bracket far below the optimum leaves no feasible grid radius.
         monkeypatch.setattr(smallk, "gonzalez_2approx",
-                            lambda P, k: ([Point(0, 4)], 0.01))
+                            lambda P, k: SolveResult(0.01, (Point(0, 4),),
+                                                     "gonzalez"))
         with pytest.raises(InternalInvariantViolation):
             approx_solve(PointSet.from_coords(STAIR5), 2, 0.5)
