@@ -3,7 +3,9 @@
 Two routes, both searching the finite candidate set of pairwise skyline
 distances with one engine, multi_array_search, and a decision procedure
 as the predicate.  The engine keeps every sorted row as an index range
-over coordinate columns and moves all rows in lockstep with numpy:
+over numpy coordinate columns and moves all rows in lockstep; each round
+clips the rows with grouped.first_false, the bisection helper that the
+grouped queries run on:
 
 * matrix route: the h-1 rows d(S[r], S[j > r]) of the sorted distance
   matrix over the skyline's columns, with the materialized decision;
@@ -24,6 +26,7 @@ signed matrix, is kept as the paper's reference; no solver calls it.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
@@ -32,7 +35,8 @@ import numpy as np
 
 from .errors import InternalInvariantViolation, NotFound, RankOutOfRange
 from .geom import Point, PointSet, SkylineArray, dist_sq
-from .grouped import GroupedSkyline, build, next_on_skyline, next_relevant_point
+from .grouped import (GroupedSkyline, build, first_false, next_on_skyline,
+                      next_relevant_point)
 from .decision import decide_grouped, decide_materialized
 from .instrument import counters
 from .skyline import slow_skyline
@@ -138,35 +142,17 @@ def matrix_select(D: SortedDistanceMatrix, rank: int) -> float:
     return keys[a - 1][0]
 
 
-def _bisect(entry: Callable, a: np.ndarray, b: np.ndarray, mid: np.ndarray,
-            below: np.ufunc, target: float) -> np.ndarray:
-    """Lockstep bisection of non-decreasing rows: for each i, the first j
-    in [a[i], b[i]) with entry(i, j) not below the target, b[i] if none.
-    entry takes two index arrays; the first step probes mid[i]."""
-    out = b.copy()
-    act = np.flatnonzero(a < b)
-    a, b, mid = a[act], b[act], mid[act]
-    while len(act):
-        go = below(entry(act, mid), target)
-        a, b = np.where(go, mid + 1, a), np.where(go, b, mid)
-        done = a == b
-        out[act[done]] = a[done]
-        act, a, b = act[~done], a[~done], b[~done]
-        mid = (a + b) // 2
-    return out
-
-
 def multi_array_search(row_value: Callable, lo, hi,
                        probe: Callable[[float], bool]) -> float:
     """Smallest entry on which the monotone (false-then-true) predicate is
     true, over the non-decreasing rows r with entries row_value(r, j) for
-    lo[r] <= j < hi[r]; row_value takes two index arrays.
+    lo[r] <= j < hi[r]; row_value takes two index arrays, or two ints.
 
     All rows move in lockstep.  Each round probes the weighted median of
     the live rows' medians and clips every live row past it, discarding
     at least a quarter of the remaining mass, so the predicate runs
-    O(log total) times.  A clip starts at the row's median, already
-    compared, and tries its neighbour: that ends the pivot's own row.
+    O(log total) times.  The clip bisects each row's side of its median
+    with first_false, whose answer is unique; it counts nothing here.
     """
     live = np.flatnonzero(np.less(lo, hi))
     a, b = np.take(lo, live), np.take(hi, live)
@@ -182,11 +168,11 @@ def multi_array_search(row_value: Callable, lo, hi,
         feasible = probe(pivot)
         if feasible and (best is None or pivot < best):
             best = pivot
-        below = np.less if feasible else np.less_equal  # bisect_left/_right
+        below = operator.lt if feasible else operator.le  # bisect_left/_right
         go = below(meds, pivot)
         a2, b2 = np.where(go, m + 1, a), np.where(go, b, m)
-        cut = _bisect(lambda i, js: row_value(live[i], js), a2, b2,
-                      np.where(go, a2, b2 - 1), below, pivot)
+        cut = np.asarray(first_false(
+            lambda i, js: below(row_value(live[i], js), pivot), a2, b2)[0])
         a, b = (a, cut) if feasible else (cut, b)
         keep = a < b
         live, a, b = live[keep], a[keep], b[keep]
@@ -236,15 +222,15 @@ def solve_via_matrix(P: PointSet, k: int) -> SolveResult:
     return SolveResult(lam, out.centers, "matrix")
 
 
-def _suffix_rows(G: GroupedSkyline, cols, p: Point):
+def _suffix_rows(G: GroupedSkyline, p: Point):
     """One row per group: the distances from p to its stored points at
-    x >= x(p), as multi_array_search takes them, over ``cols``, G's
-    columns and group ends as arrays."""
-    lo = [bisect_left(G.xs, p.x, a, b) for a, b in zip([0, *G.groups], G.groups)]
-    return _distances(cols[0], cols[1], lambda rows: (p.x, p.y)), lo, cols[2]
+    x >= x(p), as multi_array_search takes them."""
+    xs, _, starts, ends = G.cols
+    lo = first_false(lambda _, j: xs[j] < p.x, starts, ends)[0]
+    return _distances(G.xs, G.ys, lambda rows: (p.x, p.y)), lo, ends
 
 
-def _bracket_step(G: GroupedSkyline, cols, p: Point,
+def _bracket_step(G: GroupedSkyline, p: Point,
                   decider: Callable[[float], bool]):
     """One greedy step resolved against the unknown optimum lam*.
 
@@ -263,7 +249,7 @@ def _bracket_step(G: GroupedSkyline, cols, p: Point,
         # lam* exceeds every suffix distance from p: the whole suffix is
         # within reach and the step lands on the last skyline point.
         return G.q0, None
-    s = multi_array_search(*_suffix_rows(G, cols, p), decider)
+    s = multi_array_search(*_suffix_rows(G, p), decider)
     return next_relevant_point(G, p, math.nextafter(s, 0.0)), s
 
 
@@ -284,8 +270,6 @@ def solve_parametric(P: PointSet, k: int) -> SolveResult:
     n = len(P)
     kappa = min(n, max(1, math.ceil(k ** 3 * math.log2(n) ** 2)))
     G = build(P, kappa)
-    cols = (np.array(G.xs, dtype=float), np.array(G.ys, dtype=float),
-            np.array(G.groups))
 
     def decider(lam_sq: float) -> bool:
         return decide_grouped(G, k, lam_sq).feasible
@@ -293,8 +277,8 @@ def solve_parametric(P: PointSet, k: int) -> SolveResult:
     smallest_feasible = None
     left = G.p0
     for _ in range(k):
-        c, s1 = _bracket_step(G, cols, left, decider)
-        r, s2 = _bracket_step(G, cols, c, decider)
+        c, s1 = _bracket_step(G, left, decider)
+        r, s2 = _bracket_step(G, c, decider)
         for s in (s1, s2):
             if s is not None and (smallest_feasible is None or s < smallest_feasible):
                 smallest_feasible = s

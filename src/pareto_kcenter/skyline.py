@@ -65,8 +65,8 @@ def skyline_bounded(P: PointSet, s: int) -> BoundedResult:
         counters.add(CMP, charge)
         if best is None:
             return BoundedResult(SkylineArray(out))
-        x_cur = G.xs[best]
-        out.append(Point(x_cur, G.ys[best]))
+        out.append(G.point(best))
+        x_cur = out[-1].x
     return INCOMPLETE
 
 

@@ -87,12 +87,13 @@ def matrix_rows(S):
 def suffix_rows(G, p):
     """The non-empty suffixes x >= x(p) of the groups, as rows of
     distances from p."""
+    xs, ys = G.xs.tolist(), G.ys.tolist()
     arrays = []
     lo = 0
-    for hi in G.groups:
-        start = bisect_left(G.xs, p.x, lo, hi)
+    for hi in G.groups.tolist():
+        start = bisect_left(xs, p.x, lo, hi)
         if start < hi:
-            arrays.append(SuffixDistances(G.xs, G.ys, start, hi, p))
+            arrays.append(SuffixDistances(xs, ys, start, hi, p))
         lo = hi
     return arrays
 

@@ -352,12 +352,10 @@ def test_lockstep_engine_equals_reference_on_group_suffixes(scale, raw, data):
     P = scaled_pointset(scale, raw)
     for kappa in {1, 2, len(P)}:
         G = build(P, kappa)
-        cols = (np.array(G.xs), np.array(G.ys), np.array(G.groups))
         for p in slow_skyline(P):
             ref_rows = search_reference.suffix_rows(G, p)
             thr = threshold(data, ref_rows)
-            new, old = both_engines(exact._suffix_rows(G, cols, p), ref_rows,
-                                    thr)
+            new, old = both_engines(exact._suffix_rows(G, p), ref_rows, thr)
             assert new == old
             if new[0] is not None:
                 # the bracket step's radius just below s gives the step
@@ -381,10 +379,8 @@ def test_lockstep_engine_equals_reference_with_tied_rows(scale):
         new, old = both_engines(exact._matrix_rows(S), ref_rows, thr)
         assert new == old
     G = build(P, 5)
-    cols = (np.array(G.xs), np.array(G.ys), np.array(G.groups))
     for p in S[::4]:
         ref_rows = search_reference.suffix_rows(G, p)
         for thr in entries:
-            new, old = both_engines(exact._suffix_rows(G, cols, p), ref_rows,
-                                    thr)
+            new, old = both_engines(exact._suffix_rows(G, p), ref_rows, thr)
             assert new == old

@@ -1,18 +1,22 @@
 import dataclasses
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grouped_reference as ref
+from pareto_kcenter import grouped
 from pareto_kcenter.errors import EmptyInput
 from pareto_kcenter.geom import Point, PointSet, dist_sq
-from pareto_kcenter.grouped import (build, next_on_skyline,
-                                    next_relevant_point, pass_charge,
-                                    test_membership_and_prev)
+from pareto_kcenter.grouped import (LOCKSTEP_ROWS, build, first_false,
+                                    next_on_skyline, next_relevant_point,
+                                    pass_charge, test_membership_and_prev)
 from pareto_kcenter.instrument import bisect_charge, counters, sort_charge
 from pareto_kcenter.oracle import brute_skyline
+from pareto_kcenter.skyline import skyline_bounded
 
 from conftest import (RAW_POINTS, SCALE_VALUES, SCALES, STAIR4,
                       random_pointset, scaled_pointset, x_tied_rows)
@@ -126,6 +130,15 @@ class TestBuild:
         for field in dataclasses.fields(G):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(G, field.name, getattr(G, field.name))
+
+    @pytest.mark.parametrize("t", [2, LOCKSTEP_ROWS])
+    def test_columns_are_read_only(self, t):
+        G = build(PointSet.from_coords([(i, 2 * t - i) for i in range(2 * t)]),
+                  2)
+        assert G.t == t
+        for col in (G.xs, G.ys, G.starts, G.groups):
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = col[1]
 
 
 class TestNextOnSkyline:
@@ -353,3 +366,159 @@ class TestNextRelevantPoint:
                 run = within.index(False) if False in within else len(within)
                 assert not any(within[run:])
                 assert next_relevant_point(G, p, lam_sq) == sky[i + run - 1]
+
+
+def bisection_probes(lo, hi, test):
+    """First false index of a true-prefix row over [lo, hi), and the probes
+    of the bisection of (lo - 1, hi) with both ends virtual."""
+    lo -= 1
+    probes = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        probes += 1
+        if test(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi, probes
+
+
+class TestFirstFalse:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                    min_size=1, max_size=3),
+           st.booleans(), st.data())
+    def test_answers_and_probes_equal_the_bisection(self, rows, lockstep,
+                                                    data):
+        # Each row [a, b) of a flat index range is true before its answer
+        # f, drawn anywhere in [a, b], the ends included.  A lockstep run
+        # repeats the rows up to LOCKSTEP_ROWS.
+        bounds, cut, a = [], [], 0
+        for length, gap in rows:
+            f = a + data.draw(st.integers(0, length))
+            bounds.append((a, a + length))
+            cut.append(f)
+            a += length + gap
+        if lockstep:
+            reps = -(-LOCKSTEP_ROWS // len(bounds))
+            bounds, cut = bounds * reps, cut * reps
+        a = np.array([lo for lo, _ in bounds])
+        b = np.array([hi for _, hi in bounds])
+        f = np.array(cut)
+        got, probes = first_false(lambda r, j: j < f[r], a, b)
+        want = [bisection_probes(lo, hi, lambda j, e=e: j < e)
+                for (lo, hi), e in zip(bounds, cut)]
+        assert list(got) == [w[0] for w in want] == cut
+        assert probes == sum(w[1] for w in want)
+        assert isinstance(got, np.ndarray) == lockstep
+
+
+def hex_of_all(result):
+    """Query results as exact values: Points by float.hex, tuples item by
+    item, everything else as is."""
+    if isinstance(result, tuple):
+        return tuple(map(hex_of_all, result))
+    if isinstance(result, Point) or result is None:
+        return hex_of(result)
+    return result
+
+
+def same_as_reference(new, old, G, *args):
+    """The package's query and its reference give the same answer and
+    the same search counter deltas."""
+    runs = []
+    for query in (new, old):
+        counters.reset()
+        got = query(G, *args)
+        snap = counters.snapshot()
+        runs.append((hex_of_all(got), snap.get("binary_searches", 0),
+                     snap.get("binary_search_probes", 0)))
+    assert runs[0] == runs[1], (new.__name__, args)
+
+
+def check_queries_against_reference(P, kappas):
+    sky = brute_skyline(P).pts
+    radii = sorted({dist_sq(p, q) for p, q in itertools.combinations(sky, 2)})
+    probe_radii = {0.0} | {v for r in radii for v in (
+        r, math.nextafter(r, 0.0), math.nextafter(r, math.inf))}
+    for kappa in kappas:
+        G = build(P, kappa)
+        for p in P:
+            same_as_reference(next_on_skyline, ref.next_on_skyline, G, p.x)
+            same_as_reference(test_membership_and_prev,
+                              ref.membership_and_prev, G, p)
+        for p in sky:
+            for lam_sq in probe_radii:
+                same_as_reference(next_relevant_point,
+                                  ref.next_relevant_point, G, p, lam_sq)
+
+
+class TestQueriesEqualTheReferencePasses:
+    # The per-group loops in grouped_reference bisect each group alone;
+    # the package's passes bisect every group at once, one at a time below
+    # LOCKSTEP_ROWS groups and in lockstep from it.  Lowering the constant
+    # to 1 runs these small structures in lockstep.
+
+    @settings(max_examples=60, deadline=None)
+    @given(SCALES, RAW_POINTS, st.booleans())
+    def test_every_scale(self, scale, raw, lockstep):
+        P = scaled_pointset(scale, raw)
+        with pytest.MonkeyPatch.context() as mp:
+            if lockstep:
+                mp.setattr(grouped, "LOCKSTEP_ROWS", 1)
+            check_queries_against_reference(P, {1, 2, 3, len(P)})
+
+    @pytest.mark.parametrize("t", [LOCKSTEP_ROWS - 1, LOCKSTEP_ROWS])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_both_sides_of_the_constant(self, t, shuffled):
+        # A staircase in x order settles most groups at an end; shuffled,
+        # most groups hold points on both sides of every query.  One point
+        # in four is dominated.
+        coords = [(i, 3.0 * t - i) for i in range(3 * t)]
+        coords += [(i + 0.5, 3.0 * t - i - 1) for i in range(0, 3 * t, 3)]
+        if shuffled:
+            random.Random(t).shuffle(coords)
+        P = PointSet(np.array(coords))
+        G = build(P, 4)
+        assert G.t == t
+        assert (G.lists is None) == (t >= LOCKSTEP_ROWS)
+        sky = brute_skyline(P).pts
+        for p in sky[::5]:
+            same_as_reference(next_on_skyline, ref.next_on_skyline, G, p.x)
+            same_as_reference(test_membership_and_prev,
+                              ref.membership_and_prev, G, p)
+            for q in sky[::11]:
+                same_as_reference(next_relevant_point,
+                                  ref.next_relevant_point, G, p,
+                                  dist_sq(p, q))
+
+    @pytest.mark.parametrize("lockstep", [False, True])
+    def test_points_at_the_x_of_p_are_covered(self, lockstep):
+        # The second group's first point lies below p at p's x, outside the
+        # radius: covered all the same, so that group splits after it, and
+        # its bisection (six leaves) probes three times, not two.
+        P = PointSet(np.array([(0.0, 50), (40, 20), (46, 10), (47, 9), (60, 0),
+                               (40, 15), (42, 14), (43, 13), (44, 12),
+                               (45, 11)]))
+        with pytest.MonkeyPatch.context() as mp:
+            if lockstep:
+                mp.setattr(grouped, "LOCKSTEP_ROWS", 1)
+            G = build(P, 5)
+            same_as_reference(next_relevant_point, ref.next_relevant_point,
+                              G, Point(40.0, 20.0), 1.0)
+
+    @pytest.mark.parametrize("t", [2, LOCKSTEP_ROWS])
+    def test_answers_hold_python_floats(self, t):
+        # numpy 2 prints an np.float64 as np.float64(...), which would
+        # change the CLI's output.
+        n = 4 * t
+        P = PointSet.from_coords([(i, n - i) for i in range(n)])
+        G = build(P, 4)
+        assert G.t == t
+        p, q = Point(1.0, n - 1.0), Point(5.0, n - 5.0)
+        member, prev = test_membership_and_prev(G, p)
+        answers = [next_on_skyline(G, 1.0), prev,
+                   next_relevant_point(G, p, dist_sq(p, q)),
+                   *skyline_bounded(P, 4 * n).skyline.pts]
+        for r in answers:
+            assert type(r.x) is float and type(r.y) is float
