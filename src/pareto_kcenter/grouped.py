@@ -166,14 +166,15 @@ def _group_skyline_rows(P: PointSet, size: int):
     One pass for all chunks, with no sort of coordinates.  Every chunk
     but the last is full, so the rows' ranks in P's (x, y) order fill a
     (chunks, width) table, the last row padded with rank n; sorting each
-    table row's integers puts its chunk in (x, y) order.  A row is kept
-    when its y exceeds every later y in its table row (a reversed
-    running max along the rows); pads read -inf, so none is kept.  The
-    temporaries are freed before build makes the columns.
+    table row's integers puts its chunk in (x, y) order; the ranks take
+    the smallest integer type that holds n, the one that sorts fastest.
+    A row is kept when its y exceeds every later y in its table row (a
+    reversed running max along the rows); pads read -inf, so none is
+    kept.  The temporaries are freed before build makes the columns.
     """
     n = len(P)
     width = min(size, n)  # a size past n must not size the table
-    rank = np.full(-(-n // size) * width, n)
+    rank = np.full(-(-n // size) * width, n, dtype=np.min_scalar_type(n))
     rank[P.order] = np.arange(n)
     rank = np.sort(rank.reshape(-1, width), axis=1)
     ys = np.append(P.xy[P.order, 1], -np.inf)[rank]

@@ -16,7 +16,7 @@ from pareto_kcenter.grouped import (LOCKSTEP_ROWS, build, first_false,
                                     pass_charge, test_membership_and_prev)
 from pareto_kcenter.instrument import bisect_charge, counters, sort_charge
 from pareto_kcenter.oracle import brute_skyline
-from pareto_kcenter.skyline import skyline_bounded
+from pareto_kcenter.skyline import skyline_bounded, slow_skyline
 
 from conftest import (RAW_POINTS, SCALE_VALUES, SCALES, STAIR4,
                       random_pointset, scaled_pointset, x_tied_rows)
@@ -77,6 +77,17 @@ class TestBuild:
             want = [(p.x.hex(), p.y.hex()) for p in brute_skyline(chunk)]
             got = [(p.x.hex(), p.y.hex()) for p in group_points(G, g)]
             assert got == want
+
+    @pytest.mark.parametrize("n", [255, 256, 65535, 65536])
+    def test_flat_groups_at_the_rank_type_bounds(self, n):
+        # The ranks' type changes at n = 256 and 65536; the pad rank n is
+        # the largest value of the smaller type.
+        P = PointSet(np.random.default_rng(n).random((n, 2)))
+        for kappa in (7, 100, n):
+            G = build(P, kappa)
+            for g in range(G.t):
+                chunk = PointSet(P.xy[g * kappa:(g + 1) * kappa])
+                assert group_points(G, g) == slow_skyline(chunk).pts
 
     @settings(max_examples=150, deadline=None)
     @given(x_tied_rows())

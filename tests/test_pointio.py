@@ -1,16 +1,28 @@
+import io
+import math
+import os
 import random
+import struct
+import subprocess
+import sys
+import tempfile
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pareto_kcenter import pointio
 from pareto_kcenter.geom import Point, PointSet
 from pareto_kcenter.pointio import (PointFileError, fmt_coord, parse_points,
                                     read_point_file)
 
-# Inputs on which numpy's parser and parse_points could disagree.  The
-# fast path must either read them exactly as parse_points does or refuse
-# them, so that parse_points reads them again.
+from conftest import SCALES
+
+# Inputs on which the fast reader and parse_points could disagree.  The
+# fast reader must either read them exactly as parse_points does or
+# refuse them, so that parse_points reads them again.
 TRICKY = [
     b"1 2\n",
     b"1_0 2\n",
@@ -58,6 +70,12 @@ TRICKY = [
     b"1 2\x00\n",
     b"0.1 0.2\n0.30000000000000004 1e-300\n",
     b"1 2\n1 2\n2 1\n",
+    b"true 1\n",
+    b"null 2\n",
+    b"[1] 2\n",
+    b"-0e0 1\n",
+    b"123456789012345678901234567890 1\n",
+    b"1 2\r3 4\r",
 ]
 
 
@@ -84,6 +102,119 @@ def test_fast_parser_matches_parse_points(tmp_path, content):
     except PointFileError as exc:
         got = str(exc)
     assert got == want
+
+
+def fast_rows(path):
+    """The fast reader's rows, before dedup and the extent check, as hex;
+    None if it refuses the file."""
+    with open(path, "rb") as fh:
+        xy = pointio._load_columns(fh)
+    return None if xy is None else [(x.hex(), y.hex()) for x, y in xy.tolist()]
+
+
+def reference_rows(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return [(p.x.hex(), p.y.hex()) for p in parse_points(fh)]
+
+
+def from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+FORMS = (repr, "{:.17g}".format, "{:.6e}".format)
+VALUES = st.one_of(
+    st.builds(lambda scale, a, ulps: math.nextafter(a * scale, math.inf) if ulps
+              else a * scale, SCALES, st.integers(-40, 40), st.booleans()),
+    st.integers(0, 2 ** 64 - 1).map(from_bits).filter(math.isfinite))
+TOKENS = st.one_of(
+    st.builds(lambda form, v: form(v), st.sampled_from(FORMS), VALUES),
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.integers(-2 ** 65, 2 ** 65).map(str),
+    st.builds("{}{}e{}".format, st.sampled_from(["", "-"]),
+              st.integers(0, 10 ** 40), st.integers(-345, 268)),
+    st.sampled_from(["-0", "0", "-0.0"]))
+GAP = st.sampled_from([" ", "\t", "  ", " \t "])
+EDGE = st.sampled_from(["", "", " ", "\t"])
+END = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+EXTRA = st.sampled_from(["", " ", "\t", "# a comment", "  # 1 2",
+                         "# café, mm²"])
+
+
+@st.composite
+def point_files(draw):
+    """Text of valid point files in every layout parse_points reads: blank
+    and comment lines (some not ASCII), tabs, trailing comments, CRLF,
+    lone CR, and no final line break."""
+    lines = []
+    for x, y in draw(st.lists(st.tuples(TOKENS, TOKENS), max_size=40)):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(EXTRA) + draw(END))
+        comment = " # c" if draw(st.integers(0, 4)) == 0 else ""
+        lines.append(draw(EDGE) + x + draw(GAP) + y + draw(EDGE) + comment
+                     + draw(END))
+    text = "".join(lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_files(), st.sampled_from([1, 2, 3, 5, 8, 13, 64, 1 << 16]))
+def test_fast_reader_matches_parse_points(text, block):
+    # Blocks of a few bytes put most lines across block boundaries.
+    with tempfile.TemporaryDirectory() as d, \
+            mock.patch.object(pointio, "BLOCK", block):
+        path = os.path.join(d, "in.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert fast_rows(path) == reference_rows(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("first", ["0 0.5\n", "+0 0.5\n"])
+def test_pipe_is_read_once(tmp_path, first):
+    # A pipe cannot be read twice: a "+0", which the fast reader refuses,
+    # makes parse_points read the same bytes.
+    text = first + "".join(f"{i} {-i}.5\n" for i in range(1, 5000))
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,),
+                              daemon=True)
+    writer.start()
+    try:
+        P = read_point_file(str(path))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert P.xy.tolist() == [[i, -i - 0.5 if i else 0.5] for i in range(5000)]
+
+
+def test_file_that_grows_while_read_is_refused(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_text("1 2\n")
+
+    class GrowsOnFirstRead(io.BufferedReader):
+        def read(self, size=-1):
+            if not getattr(self, "grown", False):
+                self.grown = True
+                with open(path, "a") as fh:
+                    fh.write("3 4\n5 6\n")
+            return super().read(size)
+
+    with GrowsOnFirstRead(io.FileIO(path)) as fh:
+        assert pointio._load_columns(fh) is None
+    assert exact(read_point_file(str(path))) == [
+        (float(x).hex(), float(x + 1).hex()) for x in (1, 3, 5)]
+
+
+@pytest.mark.parametrize("args", [["-m", "pareto_kcenter", "--version"],
+                                  ["-c", "import pareto_kcenter.cli"]])
+def test_start_up_leaves_orjson_unimported(args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env=env, check=True, capture_output=True, text=True)
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()}
+    assert "pareto_kcenter.pointio" in imported
+    assert "orjson" not in imported
 
 
 def test_plain_file_skips_parse_points(tmp_path, monkeypatch):
