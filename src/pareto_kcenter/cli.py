@@ -16,11 +16,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from . import __version__
 from .decision import decide_grouped, decide_materialized
 from .errors import EmptyInput, InvalidEpsilon
 from .exact import SolveResult, solve_parametric, solve_via_matrix
-from .geom import PointSet
+from .geom import PointSet, SkylineArray
 from .grouped import build
 from .instances import DEFAULT_SEED, GENERATORS, InstanceSpec, generate
 from .instrument import counters
@@ -164,7 +166,8 @@ def _size(text: str | None) -> int:
 
 
 # solve/plot/bench --method: run(P, k, parameter) gives a SolveResult.
-# Each name runs one route; auto alone chooses one, by k^4 >= n.
+# Each name runs one route; auto alone chooses one, by k^4 >= |P|.
+# solve and plot hand a route the skyline, so there |P| is h.
 SOLVERS = {
     "auto": Route(lambda P, k, _: (solve_via_matrix if k ** 4 >= len(P)
                                    else solve_parametric)(P, k)),
@@ -207,6 +210,17 @@ def _timed(fn, *args):
     result = fn(*args)
     seconds = time.perf_counter() - started
     return result, seconds, counters.snapshot()
+
+
+def _staircase(P: PointSet) -> tuple[SkylineArray, PointSet]:
+    """The production skyline S of P and the point set a route runs on:
+    S's points, or P itself when every point is on S.  Every route's
+    answer depends only on the skyline, so running it on S gives the
+    same radius and centers without a pass over the dominated points."""
+    S = slow_skyline(P)
+    if len(S) == len(P):
+        return S, P
+    return S, PointSet(np.column_stack((S.xs, S.ys)))
 
 
 def _decide(P: PointSet, k: int, lam_sq: float, kappa: int | None):
@@ -269,12 +283,12 @@ def cmd_decide(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    started = time.perf_counter()  # time_ms covers the read and h too
+    started = time.perf_counter()  # time_ms covers the read and skyline too
     P = _load(args.input)
     run = solver(args.method, [args.k])
-    res, _, snap = _timed(run, P, args.k)
-    h = len(slow_skyline(P))
-    report = RunReport(res, len(P), h, args.k,
+    S, on = _staircase(P)  # before _timed, which resets the counters
+    res, _, snap = _timed(run, on, args.k)
+    report = RunReport(res, len(P), len(S), args.k,
                        (time.perf_counter() - started) * 1e3, snap)
     if args.json:
         print(json.dumps(report.to_json_obj(), sort_keys=True))
@@ -351,8 +365,9 @@ def cmd_bench(args) -> int:
 
 def cmd_plot(args) -> int:
     P = _load(args.input)
-    res = solver(args.method, [args.k])(P, args.k)
-    sky = slow_skyline(P)
+    run = solver(args.method, [args.k])
+    sky, on = _staircase(P)
+    res = run(on, args.k)
     doc = render_svg(P, sky, res.centers, res.lambda_star)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -409,7 +424,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma-separated sizes")
     p.add_argument("--k", default="2", help="comma-separated k values")
     p.add_argument("--method", default="skyline-optimal",
-                   help=" | ".join(BENCH_JOBS) + " | " + SOLVER_HELP)
+                   help=" | ".join(BENCH_JOBS) + " | " + SOLVER_HELP
+                   + "; solvers run on the generated points, so auto "
+                     "chooses by n here")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lead-counter", default=None,
                    help="counter for the c_ratio column")

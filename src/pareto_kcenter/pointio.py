@@ -9,15 +9,16 @@ Coordinates are written with 17 significant digits, which round-trips
 
 read_point_file reads a file in blocks of whole lines (_load_columns)
 when, outside its comments, the file is ASCII and every line is blank
-or two JSON numbers (digits, with an optional minus sign, fraction and
-exponent) separated by spaces or tabs, with LF, CRLF or CR line breaks.
-One orjson.loads parses each block's numbers; they agree with float()
-bit for bit, and a "-0" gets back the sign that orjson drops.  Every
-other file (a "+1", ".5", "1.", "01", "1_0", "inf" or "1e400" token,
-non-ASCII text outside comments, text that is not UTF-8, other
-whitespace, a line of one or three tokens) is
-read again from the start by parse_points, the reference, which also
-names the line of any error; so is a file that grows while it is read.
+or two finite floats written with the bytes 0-9 + - . e E, separated by
+spaces or tabs, with LF, CRLF or CR line breaks.  One orjson.loads
+parses each block's numbers; they agree with float() bit for bit, and
+a "-0" gets back the sign that orjson drops.  A block with a token
+outside JSON's grammar ("+1", ".5", "1.", "01") is parsed token by
+token with float().  Every other file (a "1_0", "inf", "1e" or "1e400"
+token, non-ASCII text outside comments, text that is not UTF-8, other
+whitespace, a line of one or three tokens) is read again from the
+start by parse_points, the reference, which also names the line of any
+error; so is a file that grows while it is read.
 A pipe is read into memory whole first, so that it can be read again.
 """
 
@@ -75,12 +76,15 @@ def parse_points(stream: Iterable[str]) -> list[Point]:
 
 def _blocks(fh: BinaryIO):
     """The file's bytes in blocks of whole lines, each holding the lines
-    that end within one read of BLOCK bytes, with every CR made an LF: a
-    CR ends a line, and the blank line that a CRLF then leaves is skipped
-    like any other."""
+    that end within one read of BLOCK bytes, with every CRLF and then
+    every other CR made an LF: each ends a line.  A read that ends in a
+    CR takes one byte more, so that no CRLF is split."""
     head = []
     while chunk := fh.read(BLOCK):
-        chunk = chunk.replace(b"\r", b"\n")
+        if chunk.endswith(b"\r"):
+            chunk += fh.read(1)
+        if b"\r" in chunk:  # one memchr; the two-byte search costs 20x that
+            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         cut = chunk.rfind(b"\n") + 1
         if cut:
             head.append(chunk[:cut])
@@ -94,10 +98,13 @@ def _blocks(fh: BinaryIO):
 def _numbers(block: bytes) -> list | None:
     """The numbers of block, whole lines, in order; None unless each line
     is two tokens of number bytes with one space or tab between them and
-    orjson reads every token.  Deleting the number bytes must leave one
-    space or tab and one LF per line; where that space is at an end of
-    its line, the commas that replace the whitespace stand two together
-    or at an end of the list, which orjson refuses."""
+    every token is a finite float.  Deleting the number bytes must leave
+    one space or tab and one LF per line; where that space is at an end
+    of its line, the commas that replace the whitespace stand two
+    together or at an end of the list, which orjson refuses.  orjson
+    reads the block's tokens at once; a block it refuses for a token
+    outside JSON's grammar ("+1", ".5", "1.", "01") is read token by
+    token with float(), as parse_points reads it."""
     import orjson  # here, so that start-up does not pay its import
 
     skeleton = block.translate(_TAB_AS_SPACE, _NUMBER)
@@ -106,7 +113,12 @@ def _numbers(block: bytes) -> list | None:
     try:
         return orjson.loads(b"[" + block.translate(_COMMAS)[:-1] + b"]")
     except orjson.JSONDecodeError:
+        pass
+    try:
+        values = [float(token) for token in block.split()]
+    except ValueError:
         return None
+    return values if all(map(math.isfinite, values)) else None
 
 
 def _squeeze(block: bytes) -> bytes:
@@ -125,9 +137,10 @@ def _load_columns(fh: BinaryIO) -> np.ndarray | None:
     """The file's points as an (m, 2) float array, or None when the file
     is not UTF-8, holds a byte other than number bytes, space, tab, CR
     and LF outside its comments, has a non-blank line without exactly
-    two tokens, or has a token that orjson refuses.  Where it accepts, it
-    agrees with parse_points bit for bit, the sign of zero included;
-    every refused file is read again by parse_points.
+    two tokens, or has a token that float() refuses or reads as not
+    finite.  Where it accepts, it agrees with parse_points bit for bit,
+    the sign of zero included; every refused file is read again by
+    parse_points.
 
     A block whose lines are not all "a b" as they stand is squeezed
     first.  The values go into one array sized for the most a file of

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pareto_kcenter import cli
 from pareto_kcenter.cli import SOLVERS, _digest, main, solver
+from pareto_kcenter.geom import PointSet
 from pareto_kcenter.oracle import brute_opt, brute_psi_sq, brute_skyline
 from pareto_kcenter.pointio import read_point_file
 
@@ -529,6 +530,10 @@ def test_every_solver_table_entry_keeps_its_guarantee(name, scale, raw, data):
     run = solver(name.replace("<eps>", str(TABLE_EPS)), [k])
     res = run(P, k)
     tag, lam_sq, centers = res.algorithm, res.lambda_star_sq, res.centers
+    # solve and plot run the route on the staircase: the same answer.
+    on_sky = run(PointSet(sky), k)
+    assert on_sky.lambda_star_sq.hex() == lam_sq.hex()
+    assert on_sky.centers == centers
     assert len(centers) <= k and set(centers) <= set(sky)
     assert brute_psi_sq(sky, centers) <= lam_sq
     if route.guarantee == "exact":
@@ -542,6 +547,35 @@ def test_every_solver_table_entry_keeps_its_guarantee(name, scale, raw, data):
         ref = solver("matrix", [k])(P, k)
         assert _digest(centers, lam_sq) == _digest(ref.centers,
                                                    ref.lambda_star_sq)
+
+
+def test_solve_and_plot_compute_the_skyline_once(capsys, tmp_path,
+                                                monkeypatch):
+    # Fifteen of the 18 points are dominated: the routes run on the other
+    # three, and solve reports that skyline's h.
+    path = tmp_path / "in.txt"
+    path.write_text("0 30\n10 20\n30 0\n" + "".join(
+        f"{x} {y}\n" for x in range(5) for y in range(3)))
+    calls = []
+
+    def counted(P, skyline=cli.slow_skyline):
+        calls.append(len(P))
+        return skyline(P)
+
+    monkeypatch.setattr(cli, "slow_skyline", counted)
+    for method in ("auto", "parametric", "gonzalez", "approx:0.5"):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "solve", str(path), "--k", "2",
+                               "--method", method)
+        assert code == 0 and calls == [18]
+        assert "n=18\nh=3\n" in out
+        calls.clear()
+        code, _, _ = run_cli(capsys, "plot", str(path), "--k", "2",
+                             "--method", method,
+                             "--out", str(tmp_path / "out.svg"))
+        assert code == 0 and calls == [18]
+    code, out, _ = run_cli(capsys, "solve", str(path), "--k", "2")
+    assert out.startswith("method=matrix\n")  # 2^4 >= h, though 2^4 < n
 
 
 def test_auto_reaches_the_rebound_route(monkeypatch):

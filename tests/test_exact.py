@@ -16,6 +16,7 @@ from pareto_kcenter.exact import (SortedDistanceMatrix, matrix_select,
                                   solve_via_matrix)
 from pareto_kcenter.geom import PointSet, dist_sq
 from pareto_kcenter.grouped import build, next_relevant_point
+from pareto_kcenter.instances import InstanceSpec, fixed_skyline_fill, generate
 from pareto_kcenter.instrument import counters
 from pareto_kcenter.oracle import brute_opt, brute_psi_sq, brute_skyline
 from pareto_kcenter.skyline import slow_skyline
@@ -253,6 +254,26 @@ class TestSolveParametric:
         P = PointSet.from_coords([(i, 19 - i) for i in range(20)])
         with pytest.raises(InternalInvariantViolation):
             solve_parametric(P, 2)
+
+    def test_counters_track_the_paper_bound(self):
+        """The paper's O(n log k + n log log n): the build's comparisons
+        plus the binary-search probes, over n (log2 k + log2 log2 n),
+        stay within a factor 1.5 of one constant, on staircases (h = n)
+        and on 64-point skylines hidden in fill."""
+        fit = 3.0  # minimax fit of the ratios measured here, 2.53-3.53
+        ratios = []
+        for e in range(14, 19):
+            n = 2 ** e
+            for P in (generate(InstanceSpec("staircase", n, seed=900 + e)),
+                      fixed_skyline_fill(64, n, seed=8000 + e)):
+                for k in (2, 4, 8):
+                    counters.reset()
+                    solve_parametric(P, k)
+                    ops = (counters.get("skyline_comparisons")
+                           + counters.get("binary_search_probes"))
+                    ratios.append(ops / (n * (math.log2(k)
+                                              + math.log2(math.log2(n)))))
+        assert all(fit / 1.5 <= r <= fit * 1.5 for r in ratios), ratios
 
     def test_certificate_pair(self, rng):
         for _ in range(40):

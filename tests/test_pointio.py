@@ -76,6 +76,11 @@ TRICKY = [
     b"-0e0 1\n",
     b"123456789012345678901234567890 1\n",
     b"1 2\r3 4\r",
+    b"+1 2\n",
+    b".5 1.\n",
+    b"01 -0\n",
+    b"1 2\n3 4\n1e400 5\n6 7\n",
+    b"1 2\n+1 2\n1e5e 3\n",
 ]
 
 
@@ -132,7 +137,9 @@ TOKENS = st.one_of(
     st.integers(-2 ** 65, 2 ** 65).map(str),
     st.builds("{}{}e{}".format, st.sampled_from(["", "-"]),
               st.integers(0, 10 ** 40), st.integers(-345, 268)),
-    st.sampled_from(["-0", "0", "-0.0"]))
+    st.sampled_from(["-0", "0", "-0.0"]),
+    # Outside JSON's grammar: read with float().
+    st.sampled_from(["+1", ".5", "1.", "01", "-.5e3", "+0", "-01.e2"]))
 GAP = st.sampled_from([" ", "\t", "  ", " \t "])
 EDGE = st.sampled_from(["", "", " ", "\t"])
 END = st.sampled_from(["\n", "\n", "\r\n", "\r"])
@@ -228,6 +235,33 @@ def test_plain_file_skips_parse_points(tmp_path, monkeypatch):
     P = read_point_file(str(path))
     assert exact(P) == [((0.5).hex(), (-0.0).hex()), ((3.0).hex(), (4.0).hex())]
     assert P.xy.tolist() == [[0.5, -0.0], [3.0, 4.0]]
+
+
+def test_odd_token_keeps_the_fast_reader(tmp_path, monkeypatch):
+    path = tmp_path / "in.txt"
+    path.write_text("+1 2\n" + "".join(f"{i} {-i}\n" for i in range(2, 9000)))
+
+    def refuse(_):
+        raise AssertionError("parse_points called for one odd token")
+
+    monkeypatch.setattr(pointio, "parse_points", refuse)
+    assert read_point_file(str(path)).xy.tolist() == [
+        [i, 2 if i == 1 else -i] for i in range(1, 9000)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 16])
+def test_crlf_file_skips_the_squeeze(tmp_path, monkeypatch, block):
+    lines = ["0.5 -0", "3 4", "-1e-300 7.25", "12 -3"] * 50
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes("\n".join(lines).encode() + b"\n")
+    crlf.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+
+    def refuse(_):
+        raise AssertionError("_squeeze called on a CRLF file")
+
+    monkeypatch.setattr(pointio, "_squeeze", refuse)
+    monkeypatch.setattr(pointio, "BLOCK", block)
+    assert fast_rows(crlf) == fast_rows(lf) == reference_rows(lf)
 
 
 @pytest.mark.parametrize("content", [b"1 2\n\xff 3\n", b"\xff\xfe1 2\n",
