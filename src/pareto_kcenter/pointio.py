@@ -104,7 +104,9 @@ def _numbers(block: bytes) -> list | None:
     together or at an end of the list, which orjson refuses.  orjson
     reads the block's tokens at once; a block it refuses for a token
     outside JSON's grammar ("+1", ".5", "1.", "01") is read token by
-    token with float(), as parse_points reads it."""
+    token with float(), as parse_points reads it, once it holds two
+    tokens a line: the skeleton alone does not tell "1 2\n3 \n" from
+    "1 2\n3 4\n"."""
     import orjson  # here, so that start-up does not pay its import
 
     skeleton = block.translate(_TAB_AS_SPACE, _NUMBER)
@@ -114,8 +116,11 @@ def _numbers(block: bytes) -> list | None:
         return orjson.loads(b"[" + block.translate(_COMMAS)[:-1] + b"]")
     except orjson.JSONDecodeError:
         pass
+    tokens = block.split()
+    if len(tokens) != len(skeleton):  # one space and one LF a line
+        return None
     try:
-        values = [float(token) for token in block.split()]
+        values = [float(token) for token in tokens]
     except ValueError:
         return None
     return values if all(map(math.isfinite, values)) else None

@@ -81,6 +81,10 @@ TRICKY = [
     b"01 -0\n",
     b"1 2\n3 4\n1e400 5\n6 7\n",
     b"1 2\n+1 2\n1e5e 3\n",
+    b"1 2\n3 \n4 5\n",
+    b"1 2\n 3\n 4\n",
+    b"1 2\n3 \n 4\n",
+    b"1 2\n3 # c\n",
 ]
 
 
@@ -176,10 +180,10 @@ def test_fast_reader_matches_parse_points(text, block):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("first", ["0 0.5\n", "+0 0.5\n"])
+@pytest.mark.parametrize("first", ["0 0.5\n", "+0 0.5\n", "0_0 0.5\n"])
 def test_pipe_is_read_once(tmp_path, first):
-    # A pipe cannot be read twice: a "+0", which the fast reader refuses,
-    # makes parse_points read the same bytes.
+    # A pipe cannot be read twice: a "0_0", which the fast reader refuses
+    # and float() reads as 0, makes parse_points read the same bytes.
     text = first + "".join(f"{i} {-i}.5\n" for i in range(1, 5000))
     path = tmp_path / "pipe"
     os.mkfifo(path)
