@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,16 +40,6 @@ EXIT_INCOMPLETE = 3
 
 class InputError(Exception):
     """A bad argument or input: main prints "error: <message>", exits 2."""
-
-
-def _seed(given: int | None) -> int:
-    """--seed when given, else PARETO_KCENTER_SEED, else the default."""
-    raw = given if given is not None else os.environ.get(
-        "PARETO_KCENTER_SEED", DEFAULT_SEED)
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"bad PARETO_KCENTER_SEED: {raw!r}")
 
 
 def _at_least_1(name: str, *values: int) -> None:
@@ -86,7 +75,7 @@ class RunReport:
     h: int
     k: int
     time_ms: float
-    counters: dict = field(default_factory=dict)
+    counters: dict
 
     @property
     def digest(self) -> str:
@@ -223,32 +212,24 @@ def _staircase(P: PointSet) -> tuple[SkylineArray, PointSet]:
     return S, PointSet(np.column_stack((S.xs, S.ys)))
 
 
-def _decide(P: PointSet, k: int, lam_sq: float, kappa: int | None):
-    """The grouped decision with kappa clamped to 1..n, or with kappa
-    None the materialized one on the production skyline."""
-    if kappa is None:
-        return decide_materialized(slow_skyline(P), k, lam_sq)
-    return decide_grouped(build(P, min(max(kappa, 1), len(P))), k, lam_sq)
+def _decide(P: PointSet, k: int, lam_sq: float, grouped: bool):
+    """The grouped decision on groups of min(k, n) points, the paper's
+    size, or the materialized one on the production skyline."""
+    if grouped:
+        return decide_grouped(build(P, min(k, len(P))), k, lam_sq)
+    return decide_materialized(slow_skyline(P), k, lam_sq)
 
 
 def cmd_gen(args) -> int:
-    seed = _seed(args.seed)
     _at_least_1("n", args.n)
-    params = {}
-    for kv in args.param:
-        key, _, val = kv.partition("=")  # no "=" leaves val empty
-        try:
-            params[key] = float(val)
-        except ValueError:
-            raise InputError(f"bad --param {kv!r}, expected KEY=NUMBER")
+    P = generate(InstanceSpec(args.generator, args.n, args.seed))
     try:
-        P = generate(InstanceSpec(args.generator, args.n, seed, params))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 write_points(P.points, fh)
         else:
             write_points(P.points, sys.stdout)
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
         raise InputError(str(exc))
     return EXIT_OK
 
@@ -270,10 +251,7 @@ def cmd_decide(args) -> int:
     _at_least_1("k", args.k)
     if not args.lam >= 0:  # also rejects NaN
         raise InputError("lambda must be >= 0")
-    if args.grouped is not None and args.grouped < 0:
-        raise InputError("KAPPA must be >= 1 (0 or omitted means k)")
-    kappa = None if args.grouped is None else args.grouped or args.k
-    out = _decide(P, args.k, args.lam * args.lam, kappa)
+    out = _decide(P, args.k, args.lam * args.lam, args.grouped)
     if out.feasible:
         print("FEASIBLE")
         write_points(out.centers, sys.stdout)
@@ -310,9 +288,9 @@ BENCH_JOBS = {
                            SolveResult(0.0, r.run(P, None).pts, tag))
        for name, route in SKYLINES.items() if route.parse is None},
     "decide-materialized": (_bench_radius, lambda P, k, lam_sq: SolveResult(
-        lam_sq, _decide(P, k, lam_sq, None).centers, "decide-materialized")),
+        lam_sq, _decide(P, k, lam_sq, False).centers, "decide-materialized")),
     "decide-grouped": (_bench_radius, lambda P, k, lam_sq: SolveResult(
-        lam_sq, _decide(P, k, lam_sq, k).centers, "decide-grouped")),
+        lam_sq, _decide(P, k, lam_sq, True).centers, "decide-grouped")),
 }
 
 BENCH_COUNTERS = ("skyline_comparisons", "binary_searches",
@@ -321,7 +299,6 @@ BENCH_COUNTERS = ("skyline_comparisons", "binary_searches",
 
 
 def cmd_bench(args) -> int:
-    seed = _seed(args.seed)
     try:
         ns = [int(v) for v in args.n.split(",")]
         ks = [int(v) for v in args.k.split(",")]
@@ -337,12 +314,12 @@ def cmd_bench(args) -> int:
     cols = ["gen", "n", "h", "k", "method", "ms", *BENCH_COUNTERS,
             "t_ratio", "c_ratio", "digest"]
     print("\t".join(cols))
-    lead_counter = args.lead_counter or (
-        "binary_search_probes" if "decide" in args.method else BENCH_COUNTERS[0])
+    lead_counter = ("binary_search_probes" if "decide" in args.method
+                    else "skyline_comparisons")
     prev: dict[int, tuple[float, int, int]] = {}  # k -> last (secs, lead, n)
     for k in ks:
         for n in ns:
-            P = generate(InstanceSpec(args.generator, n, seed))
+            P = generate(InstanceSpec(args.generator, n, args.seed))
             lam_sq = setup(P, k) if setup else 0.0
             res, secs, snap = _timed(timed, P, k, lam_sq)
             h = len(slow_skyline(P))  # after the snapshot
@@ -389,9 +366,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a seeded instance")
     p.add_argument("--generator", choices=GENERATORS, default="uniform-square")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--param", action="append", default=[],
-                   metavar="KEY=VAL", help="generator parameter")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
@@ -407,9 +382,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--lam", type=float, required=True,
                    help="radius in distance units")
-    p.add_argument("--grouped", type=int, nargs="?", const=0, default=None,
-                   metavar="KAPPA",
-                   help="use the grouped decision (default kappa=k)")
+    p.add_argument("--grouped", action="store_true",
+                   help="use the grouped decision on groups of k points")
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("solve", help="compute opt(P,k) and centers")
@@ -427,9 +401,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help=" | ".join(BENCH_JOBS) + " | " + SOLVER_HELP
                    + "; solvers run on the generated points, so auto "
                      "chooses by n here")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--lead-counter", default=None,
-                   help="counter for the c_ratio column")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("plot", help="solve and render an SVG view")

@@ -1,27 +1,22 @@
 """Seeded instance generators.
 
-Same spec (generator name, n, seed, params) always yields the bit-identical
-point list: the generators draw only from random.Random.random(), whose
-output stream is stable, and derive everything else arithmetically.
+Same spec (generator name, n, seed) always yields the bit-identical point
+list: the generators draw only from random.Random.random(), whose output
+stream is stable, and derive everything else arithmetically.  Each
+generator has one fixed shape: the square [0, 1000)^2, 8 clusters of
+spread 25 around centers in it, a staircase down from (0, n) with steps
+of 0.25 to 1.25 on each axis, or the quarter circle of radius 1000.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geom import Point, PointSet
 
 GENERATORS = ("uniform-square", "clustered", "staircase", "circle-quadrant")
-
-# The parameters each generator reads; every value must be finite.
-PARAMS = {
-    "uniform-square": ("scale",),
-    "clustered": ("scale", "clusters", "spread"),
-    "staircase": ("step",),
-    "circle-quadrant": ("radius",),
-}
 
 DEFAULT_SEED = 20240 + 817
 
@@ -31,71 +26,55 @@ class InstanceSpec:
     generator: str
     n: int
     seed: int = DEFAULT_SEED
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        for key, val in self.params.items():
-            if key not in PARAMS[self.generator]:
-                raise ValueError(f"unknown parameter {key!r} for "
-                                 f"{self.generator}; expected one of "
-                                 f"{', '.join(PARAMS[self.generator])}")
-            if not math.isfinite(val):
-                raise ValueError(f"parameter {key} must be finite, got {val}")
-        clusters = self.params.get("clusters", 1)
-        if not (float(clusters).is_integer() and clusters >= 1):
-            raise ValueError(f"clusters must be an integer >= 1, got {clusters}")
 
 
 def generate(spec: InstanceSpec) -> PointSet:
     rng = random.Random(spec.seed)
     make = _DISPATCH[spec.generator]
-    return PointSet(make(rng, spec.n, dict(spec.params)))
+    return PointSet(make(rng, spec.n))
 
 
-def _uniform_square(rng: random.Random, n: int, params: dict) -> list[Point]:
-    scale = params.get("scale", 1000.0)
-    return [Point(rng.random() * scale, rng.random() * scale) for _ in range(n)]
+def _uniform_square(rng: random.Random, n: int) -> list[Point]:
+    return [Point(rng.random() * 1000.0, rng.random() * 1000.0)
+            for _ in range(n)]
 
 
-def _clustered(rng: random.Random, n: int, params: dict) -> list[Point]:
-    scale = params.get("scale", 1000.0)
-    nclusters = int(params.get("clusters", 8))
-    spread = params.get("spread", scale / 40.0)
-    centers = [(rng.random() * scale, rng.random() * scale) for _ in range(nclusters)]
+def _clustered(rng: random.Random, n: int) -> list[Point]:
+    centers = [(rng.random() * 1000.0, rng.random() * 1000.0) for _ in range(8)]
     pts = []
     for _ in range(n):
-        cx, cy = centers[int(rng.random() * nclusters) % nclusters]
+        cx, cy = centers[int(rng.random() * 8) % 8]
         # Box-Muller from two uniform draws keeps the stream portable.
         u1 = max(rng.random(), 1e-12)
         u2 = rng.random()
-        r = math.sqrt(-2.0 * math.log(u1)) * spread
+        r = math.sqrt(-2.0 * math.log(u1)) * 25.0
         pts.append(Point(cx + r * math.cos(2 * math.pi * u2),
                          cy + r * math.sin(2 * math.pi * u2)))
     return pts
 
 
-def _staircase(rng: random.Random, n: int, params: dict) -> list[Point]:
+def _staircase(rng: random.Random, n: int) -> list[Point]:
     """Strictly descending staircase: every point is on the skyline."""
-    step = params.get("step", 1.0)
     x = 0.0
-    y = float(n) * step
+    y = float(n)
     pts = []
     for _ in range(n):
-        x += step * (0.25 + rng.random())
-        y -= step * (0.25 + rng.random())
+        x += 0.25 + rng.random()
+        y -= 0.25 + rng.random()
         pts.append(Point(x, y))
     return pts
 
 
-def _circle_quadrant(rng: random.Random, n: int, params: dict) -> list[Point]:
+def _circle_quadrant(rng: random.Random, n: int) -> list[Point]:
     """Points on the first-quadrant arc: pairwise incomparable, h = n."""
-    radius = params.get("radius", 1000.0)
     angles = sorted(rng.random() * (math.pi / 2) for _ in range(n))
-    return [Point(radius * math.cos(a), radius * math.sin(a)) for a in angles]
+    return [Point(1000.0 * math.cos(a), 1000.0 * math.sin(a)) for a in angles]
 
 
 _DISPATCH = {

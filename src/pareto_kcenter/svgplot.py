@@ -42,9 +42,8 @@ class _Frame:
         return v * self.scale
 
 
-def render_svg(P: PointSet, sky: SkylineArray,
-               centers: Sequence[Point] = (),
-               lambda_star: float = 0.0) -> str:
+def render_svg(P: PointSet, sky: SkylineArray, centers: Sequence[Point],
+               lambda_star: float) -> str:
     """Full document as a string; one covering disk per center."""
     frame = _Frame(P.points, lambda_star)
     sky_set = set(sky.pts)

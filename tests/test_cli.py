@@ -1,7 +1,9 @@
+import argparse
 import json
 import math
 import os
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -166,16 +168,6 @@ class TestDecideCommand:
                           "--grouped")
         assert a == b == "FEASIBLE\n3 0\n"
 
-    def test_negative_kappa_exits_2(self, capsys, stair4):
-        code, out, err = run_cli(capsys, "decide", stair4, "--k", "2",
-                                 "--lam", "1.4143", "--grouped", "-3")
-        assert code == 2 and out == ""
-        assert "KAPPA" in err
-        outs = {run_cli(capsys, "decide", stair4, "--k", "2", "--lam",
-                        "1.4143", "--grouped", *kappa)[:2]
-                for kappa in ([], ["0"], ["2"])}
-        assert outs == {(0, "FEASIBLE\n1 2\n3 0\n")}
-
     def test_zero_lambda_k_equals_n(self, capsys, stair4):
         code, out, _ = run_cli(capsys, "decide", stair4, "--k", "4", "--lam", "0")
         assert code == 0
@@ -285,53 +277,14 @@ class TestGenCommand:
         P = read_point_file(str(path))
         assert P.points == generate(InstanceSpec("uniform-square", 120, 3)).points
 
-    def test_env_seed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("PARETO_KCENTER_SEED", "123")
-        _, a, _ = run_cli(capsys, "gen", "--n", "10")
-        monkeypatch.delenv("PARETO_KCENTER_SEED")
-        _, b, _ = run_cli(capsys, "gen", "--n", "10", "--seed", "123")
-        assert a == b
-
     def test_rejects_bad_n(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "--n", "0")
         assert code == 2
-
-    def test_rejects_bad_param(self, capsys):
-        code, _, err = run_cli(capsys, "gen", "--n", "5",
-                               "--param", "scale=abc")
-        assert code == 2 and "KEY=NUMBER" in err
-
-    @pytest.mark.parametrize("args", [
-        ["--generator", "clustered", "--param", "clusters=0"],
-        ["--generator", "clustered", "--param", "clusters=-2"],
-        ["--param", "scale=nan"],
-        ["--generator", "staircase", "--param", "step=inf"],
-        ["--param", "foo=1"],
-    ])
-    def test_rejects_invalid_param(self, capsys, args):
-        code, out, err = run_cli(capsys, "gen", "--n", "5", *args)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ")
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "gen", "--n", "5", "--out",
                                str(tmp_path / "missing" / "x.txt"))
         assert code == 2 and err.startswith("error: ")
-
-    def test_rejects_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("PARETO_KCENTER_SEED", "not-a-number")
-        code, _, err = run_cli(capsys, "gen", "--n", "5")
-        assert code == 2 and "PARETO_KCENTER_SEED" in err
-
-    def test_bad_env_seed_spares_commands_without_a_seed(self, capsys,
-                                                         monkeypatch, stair4):
-        monkeypatch.setenv("PARETO_KCENTER_SEED", "not-a-number")
-        code, out, _ = run_cli(capsys, "skyline", stair4)
-        assert code == 0 and out.startswith("4\n")
-        code, out, _ = run_cli(capsys, "--version")
-        assert code == 0 and out.strip()
-        code, _, _ = run_cli(capsys, "gen", "--n", "5", "--seed", "3")
-        assert code == 0
 
 
 class TestBenchCommand:
@@ -592,3 +545,31 @@ def test_auto_reaches_the_rebound_route(monkeypatch):
         calls.clear()
         solver("auto", [2])(P, 2)
         assert calls == [want]
+
+
+def test_removed_options_are_refused(capsys, monkeypatch, stair4):
+    for argv in (["gen", "--n", "5", "--param", "scale=2"],
+                 ["bench", "--n", "64", "--lead-counter", "dist_evals"],
+                 ["decide", stair4, "--k", "2", "--lam", "1.4143",
+                  "--grouped", "3"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+    _, plain, _ = run_cli(capsys, "gen", "--n", "5")
+    monkeypatch.setenv("PARETO_KCENTER_SEED", "not-a-number")
+    assert run_cli(capsys, "gen", "--n", "5") == (0, plain, "")
+
+
+def test_readme_documents_every_option():
+    # Every long option of every subcommand is named in README's CLI
+    # section, and every option named there exists.
+    parser = cli.make_parser()
+    subcommands = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    options = {opt for sub in subcommands.choices.values()
+               for action in sub._actions for opt in action.option_strings
+               if opt.startswith("--")} - {"--help"}
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", section)) - {"--help"}
+    assert options - named == set(), "options missing from README"
+    assert named - options == set(), "README names options the CLI lacks"
