@@ -4,13 +4,15 @@ centers cover the skyline.
 Route one runs a multi-array search over the increasing rows of the
 sorted distance matrix, one decision per probe.  Route two simulates the
 grouped greedy at the unknown optimum (parametric search).  Both return
-the same bitwise value, a pairwise skyline distance.
+the same bitwise value, a pairwise skyline distance, and the decision
+procedure certifies it.
 """
 
-from pareto_kcenter import (InstanceSpec, generate, solve_parametric,
-                            solve_via_matrix)
+import math
+
+from pareto_kcenter import (InstanceSpec, decide_materialized, generate,
+                            slow_skyline, solve_parametric, solve_via_matrix)
 from pareto_kcenter.instrument import counters
-from pareto_kcenter.oracle import brute_opt, brute_psi_sq, brute_skyline
 
 P = generate(InstanceSpec("circle-quadrant", n=2500, seed=11))
 print(f"n={len(P)} points on a quarter circle (h = n here)")
@@ -27,12 +29,15 @@ for k in (2, 3, 5, 9):
           f"[matrix route: {probes} probes, {decisions} decisions; "
           f"parametric route: {counters.get('multiarray_probes')} probes]")
 
-# Ground truth on a smaller instance, plus the rescan certificate.
+# A certificate on another instance: k disks of radius lambda* cover
+# the skyline, and k disks of the next smaller float radius do not.
 Q = generate(InstanceSpec("uniform-square", n=250, seed=11))
+S = slow_skyline(Q)
 for k in (1, 2, 4):
-    res = solve_via_matrix(Q, k)
-    assert res.lambda_star_sq == brute_opt(Q, k)
-    sky = brute_skyline(Q)
-    assert brute_psi_sq(sky, res.centers) == res.lambda_star_sq
-print("small-instance values match the brute-force oracle exactly,")
-print("and the returned centers certify lambda* on rescan")
+    lam_sq = solve_via_matrix(Q, k).lambda_star_sq
+    assert lam_sq == solve_parametric(Q, k).lambda_star_sq
+    assert decide_materialized(S, k, lam_sq).feasible
+    assert lam_sq == 0.0 or not decide_materialized(
+        S, k, math.nextafter(lam_sq, 0.0)).feasible
+print("on a second instance both routes agree, and the decision is")
+print("feasible at lambda* and infeasible just below it")

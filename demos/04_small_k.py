@@ -6,7 +6,6 @@ from pareto_kcenter import (InstanceSpec, approx_solve, generate,
                             gonzalez_2approx, solve_one_center,
                             solve_via_matrix)
 from pareto_kcenter.instrument import counters
-from pareto_kcenter.oracle import brute_opt
 
 P = generate(InstanceSpec("clustered", n=30000, seed=3))
 
@@ -28,7 +27,7 @@ for eps in (0.5, 0.1, 0.01):
 
 # On a small instance, compare everything against the exact value.
 Q = generate(InstanceSpec("clustered", n=400, seed=3))
-opt = brute_opt(Q, k)
+opt = solve_via_matrix(Q, k).lambda_star_sq
 g = gonzalez_2approx(Q, k).lambda_star_sq
 a = approx_solve(Q, k, 0.01).lambda_star_sq
 print(f"small instance: opt^2 = {opt:.4f}, gonzalez^2 = {g:.4f}, "

@@ -5,8 +5,8 @@ The library computes skylines output-sensitively, decides coverability
 by k radius-bounded disks with or without materializing the skyline,
 solves the optimization exactly by a multi-array search over the sorted
 distance matrix's rows or by parametric search, and offers
-linear/near-linear routes for very small k, all validated against
-brute-force oracles.
+linear/near-linear routes for very small k.  The test suite checks
+every route against exhaustive ground truth kept with the tests.
 """
 
 from .decision import decide_grouped, decide_materialized

@@ -25,7 +25,6 @@ from .geom import PointSet, SkylineArray
 from .grouped import build
 from .instances import DEFAULT_SEED, GENERATORS, InstanceSpec, generate
 from .instrument import counters
-from .oracle import brute_skyline
 from .pointio import PointFileError, fmt_coord, read_point_file, write_points
 from .skyline import skyline_bounded, skyline_optimal, slow_skyline
 from .smallk import (approx_solve, check_epsilon, gonzalez_2approx,
@@ -173,7 +172,6 @@ SOLVERS = {
 SKYLINES = {
     "sort": Route(lambda P, _: slow_skyline(P)),
     "optimal": Route(lambda P, _: skyline_optimal(P)),
-    "brute": Route(lambda P, _: brute_skyline(P)),
     "bounded:<s>": Route(lambda P, s: skyline_bounded(P, s).skyline,
                          parse=_size),
 }

@@ -9,10 +9,6 @@ class RankOutOfRange(ValueError):
     """Requested selection rank is outside [1, h*h]."""
 
 
-class InstanceTooLarge(ValueError):
-    """Brute-force oracle refused an instance beyond its size guard."""
-
-
 class DegenerateSpan(ValueError):
     """Bisector search needs two distinct anchor points."""
 

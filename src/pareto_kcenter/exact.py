@@ -205,17 +205,18 @@ def solve_via_matrix(P: PointSet, k: int) -> SolveResult:
     of the sorted distance matrix, one materialized decision per probe.
 
     For k < h the optimum is positive, so it lies in those rows; the last
-    entry of row 0, the diameter, is always feasible.
+    entry of row 0, the diameter, is always feasible.  For k >= h it is
+    0.  Either way one final decision certifies it and picks the centers.
     """
     P.require_nonempty()
     if k < 1:
         raise ValueError("k must be >= 1")
     S = slow_skyline(P)
-    if k >= len(S):
-        return SolveResult(0.0, tuple(S), "matrix")
-    lam = multi_array_search(*_matrix_rows(S),
-                             lambda v: decide_materialized(S, k, v).feasible)
-    lam += 0.0  # normalizes -0.0
+    lam = 0.0
+    if k < len(S):
+        lam = multi_array_search(
+            *_matrix_rows(S), lambda v: decide_materialized(S, k, v).feasible)
+        lam += 0.0  # normalizes -0.0
     out = decide_materialized(S, k, lam)
     if not out.feasible:
         raise InternalInvariantViolation("selected radius is not feasible")

@@ -109,10 +109,6 @@ class PointSet:
         self._points: tuple[Point, ...] | None = (
             None if given is None else tuple(given[i] for i in keep.tolist()))
 
-    @classmethod
-    def from_coords(cls, coords: Iterable[tuple[float, float]]) -> "PointSet":
-        return cls(Point(x, y) for x, y in coords)
-
     @property
     def points(self) -> tuple[Point, ...]:
         if self._points is None:
@@ -185,8 +181,3 @@ class SkylineArray:
 
     def __repr__(self) -> str:
         return f"SkylineArray({list(self.pts)!r})"
-
-    def validate(self) -> None:
-        for a, b in zip(self.pts, self.pts[1:]):
-            if not (a.x < b.x and a.y > b.y):
-                raise ValueError(f"not a staircase: {a} then {b}")

@@ -186,9 +186,9 @@ def _group_skyline_rows(P: PointSet, size: int):
 
 def pass_charge(sizes: np.ndarray) -> int:
     """Probe charge of one binary search per group, each group of m
-    points charged as the paper's padded group of m + 2: the sum of
-    bisect_charge(m + 2).  frexp's exponent of a positive integer below
-    2^53 is its bit length."""
+    points charged as the paper's padded group of m + 2: the sum of the
+    bit lengths of m + 2, one per halving.  frexp's exponent of a positive
+    integer below 2^53 is its bit length."""
     return int(np.frexp(sizes + 2)[1].sum())
 
 

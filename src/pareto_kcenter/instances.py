@@ -83,21 +83,3 @@ _DISPATCH = {
     "staircase": _staircase,
     "circle-quadrant": _circle_quadrant,
 }
-
-
-def fixed_skyline_fill(h: int, n: int, seed: int) -> PointSet:
-    """n points whose skyline has exactly h points (for scaling runs).
-
-    h anchors sit on a quarter circle; the rest are shrunken copies of
-    random anchors, hence strictly dominated.
-    """
-    rng = random.Random(seed)
-    radius = 1000.0
-    angles = sorted((i + 0.5) / h * (math.pi / 2) for i in range(h))
-    anchors = [Point(radius * math.cos(a), radius * math.sin(a)) for a in angles]
-    pts = list(anchors)
-    for _ in range(n - h):
-        a = anchors[int(rng.random() * h) % h]
-        u = 0.2 + 0.6 * rng.random()
-        pts.append(Point(a.x * u, a.y * u))
-    return PointSet(pts)

@@ -36,8 +36,3 @@ def sort_charge(m: int) -> int:
     if m <= 1:
         return 0
     return m * (m - 1).bit_length()
-
-
-def bisect_charge(m: int) -> int:
-    """Probe charge for one binary search over m items."""
-    return m.bit_length() if m > 0 else 0

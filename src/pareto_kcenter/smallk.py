@@ -47,21 +47,19 @@ def _bisector_scan(xy: np.ndarray, p0: Point, q0: Point):
     return Point(*pool[p_prime].tolist()), Point(*pool[q_prime].tolist())
 
 
-def bisector_extremes(points, p0: Point, q0: Point) -> tuple[Point, Point]:
+def bisector_extremes(xy: np.ndarray, p0: Point,
+                      q0: Point) -> tuple[Point, Point]:
     """Over the skyline portion between p0 and q0: the point minimizing the
     larger anchor distance, and the point maximizing the smaller one.
 
-    `points`, Points or an (m, 2) coordinate array, must lie within the
+    The rows of `xy`, an (m, 2) coordinate array, must lie within the
     strip x(p0) <= x <= x(q0) (anchors need not be included).  O(1)
     linear scans; the skyline is never built.  Ties break toward
     smaller x.
     """
     if dist_sq(p0, q0) == 0.0:  # equal, or their distance underflows
         raise DegenerateSpan("anchors coincide")
-    if not isinstance(points, np.ndarray):
-        points = np.array([(p.x, p.y) for p in points],
-                          dtype=np.float64).reshape(-1, 2)
-    p_prime, q_prime = _bisector_scan(points, p0, q0)
+    p_prime, q_prime = _bisector_scan(xy, p0, q0)
     counters.add("dist_evals", 4)
     cands = []
     for c in (p_prime, q_prime):

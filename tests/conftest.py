@@ -4,8 +4,41 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from pareto_kcenter.geom import Point, PointSet
+from pareto_kcenter.geom import Point, PointSet, SkylineArray
 from pareto_kcenter.instances import InstanceSpec, generate
+
+
+def from_coords(coords) -> PointSet:
+    return PointSet(Point(x, y) for x, y in coords)
+
+
+def validate_staircase(sky: SkylineArray) -> None:
+    for a, b in zip(sky.pts, sky.pts[1:]):
+        if not (a.x < b.x and a.y > b.y):
+            raise ValueError(f"not a staircase: {a} then {b}")
+
+
+def bisect_charge(m: int) -> int:
+    """Probe charge for one binary search over m items."""
+    return m.bit_length() if m > 0 else 0
+
+
+def fixed_skyline_fill(h: int, n: int, seed: int) -> PointSet:
+    """n points whose skyline has exactly h points (for scaling runs).
+
+    h anchors sit on a quarter circle; the rest are shrunken copies of
+    random anchors, hence strictly dominated.
+    """
+    rng = random.Random(seed)
+    radius = 1000.0
+    angles = sorted((i + 0.5) / h * (math.pi / 2) for i in range(h))
+    anchors = [Point(radius * math.cos(a), radius * math.sin(a)) for a in angles]
+    pts = list(anchors)
+    for _ in range(n - h):
+        a = anchors[int(rng.random() * h) % h]
+        u = 0.2 + 0.6 * rng.random()
+        pts.append(Point(a.x * u, a.y * u))
+    return PointSet(pts)
 
 
 def random_pointset(rng: random.Random, n: int, coord: int = 60,
@@ -17,7 +50,7 @@ def random_pointset(rng: random.Random, n: int, coord: int = 60,
     else:
         coords = [(rng.uniform(0, coord), rng.uniform(0, coord))
                   for _ in range(n)]
-    return PointSet.from_coords(coords)
+    return from_coords(coords)
 
 
 def generated(kind: str, n: int, seed: int) -> PointSet:
@@ -25,12 +58,12 @@ def generated(kind: str, n: int, seed: int) -> PointSet:
 
 
 def staircase(*coords) -> PointSet:
-    return PointSet.from_coords(coords)
+    return from_coords(coords)
 
 
 # Coordinate scales for the differential tests, and raw points for
 # scaled_pointset: small integers plus a few ulps of offset.
-SCALE_VALUES = (1.0, 2.0 ** 53, 1e17, 1e150)
+SCALE_VALUES = (1e-170, 1e-160, 1e-150, 1.0, 2.0 ** 53, 1e17, 1e150)
 SCALES = st.sampled_from(SCALE_VALUES)
 RAW_POINTS = st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40),
                                 st.integers(0, 3), st.integers(0, 3)),

@@ -3,7 +3,8 @@
 Everything here favors obviousness over speed: quadratic dominance scans,
 flatten-and-sort selection, exhaustive subset search.  The only shared
 code with the fast paths is the geom module's primitives, so differential
-tests really compare two routes.
+tests really compare two routes.  It lives with the tests: the package
+never calls it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InstanceTooLarge, RankOutOfRange
-from .geom import Point, PointSet, SkylineArray, dist_sq
+from pareto_kcenter.errors import RankOutOfRange
+from pareto_kcenter.geom import Point, PointSet, SkylineArray, dist_sq
+
+
+class InstanceTooLarge(ValueError):
+    """The oracle refused an instance beyond its size guard."""
 
 
 def brute_skyline(P: PointSet) -> SkylineArray:

@@ -19,11 +19,13 @@ from pareto_kcenter.exact import (SortedDistanceMatrix, matrix_select,
                                   solve_parametric, solve_via_matrix)
 from pareto_kcenter.geom import dist_sq
 from pareto_kcenter.grouped import build
-from pareto_kcenter.instances import InstanceSpec, fixed_skyline_fill, generate
+from pareto_kcenter.instances import InstanceSpec, generate
 from pareto_kcenter.instrument import counters
-from pareto_kcenter.oracle import (brute_opt, brute_psi_sq, brute_skyline)
 from pareto_kcenter.skyline import skyline_bounded, skyline_optimal, slow_skyline
 from pareto_kcenter.smallk import approx_solve, gonzalez_2approx, solve_one_center
+
+from conftest import fixed_skyline_fill
+from oracle import brute_opt, brute_psi_sq, brute_skyline
 
 GOLDEN = Path(__file__).parent / "golden"
 GENERATOR_CYCLE = ("uniform-square", "clustered", "staircase", "circle-quadrant")

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -12,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 from pareto_kcenter import cli
 from pareto_kcenter.cli import SOLVERS, _digest, main, solver
 from pareto_kcenter.geom import PointSet
-from pareto_kcenter.oracle import brute_opt, brute_psi_sq, brute_skyline
-from pareto_kcenter.pointio import read_point_file
+from pareto_kcenter.pointio import read_point_file, write_points
 
 from conftest import RAW_POINTS, SCALES, scaled_pointset
+from oracle import brute_opt, brute_psi_sq, brute_skyline
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -27,6 +28,14 @@ def run_cli(capsys, *argv):
         code = exc.code if isinstance(exc.code, int) else 2
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def brute_skyline_output(path) -> str:
+    """What `skyline` prints for the file, from the brute-force oracle."""
+    sky = brute_skyline(read_point_file(path))
+    out = io.StringIO()
+    write_points(sky.pts, out)
+    return f"{len(sky)}\n{out.getvalue()}"
 
 
 @pytest.fixture
@@ -78,8 +87,7 @@ class TestSkylineCommand:
         path = tmp_path / "inst.txt"
         path.write_text(gen_out)
         _, opt_out, _ = run_cli(capsys, "skyline", str(path), "--algo", "optimal")
-        _, brute_out, _ = run_cli(capsys, "skyline", str(path), "--algo", "brute")
-        assert opt_out == brute_out
+        assert opt_out == brute_skyline_output(path)
 
     def test_parse_error_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -104,18 +112,15 @@ class TestSkylineCommand:
                                 for _ in range(300)) + "1e17 5\n")
         code, sort_out, _ = run_cli(capsys, "skyline", str(path))
         assert code == 0
-        _, brute_out, _ = run_cli(capsys, "skyline", str(path),
-                                  "--algo", "brute")
         _, optimal_out, _ = run_cli(capsys, "skyline", str(path),
                                     "--algo", "optimal")
-        assert sort_out == brute_out == optimal_out
+        assert sort_out == brute_skyline_output(path) == optimal_out
 
     def test_optimal_keeps_both_points_near_overflow(self, capsys, big_pair):
         code, out, _ = run_cli(capsys, "skyline", big_pair, "--algo", "optimal")
         assert code == 0
         assert out.splitlines()[0] == "2"
-        _, brute_out, _ = run_cli(capsys, "skyline", big_pair, "--algo", "brute")
-        assert out == brute_out
+        assert out == brute_skyline_output(big_pair)
 
     @pytest.mark.parametrize("s", ["\u00b2", "\u0663", "+4", "0", ""])
     def test_bounded_bad_size_exits_2(self, capsys, stair4, s):
@@ -139,6 +144,12 @@ class TestSkylineCommand:
                                  "--algo", "boundedfoo")
         assert (code, out) == (2, "")
         assert err == "error: unknown algorithm 'boundedfoo'\n"
+
+    def test_brute_is_unknown(self, capsys, stair4):
+        # The brute-force oracle lives with the tests, not in the CLI.
+        code, out, err = run_cli(capsys, "skyline", stair4, "--algo", "brute")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown algorithm 'brute'\n"
 
 
 class TestDecideCommand:
@@ -272,7 +283,7 @@ class TestGenCommand:
         _, out2, _ = run_cli(capsys, "gen", "--n", "120", "--seed", "3",
                              "--out", str(tmp_path / "direct.txt"))
         assert (tmp_path / "direct.txt").read_text() == out
-        from pareto_kcenter.pointio import read_point_file
+        from pareto_kcenter.pointio import read_point_file, write_points
         from pareto_kcenter.instances import InstanceSpec, generate
         P = read_point_file(str(path))
         assert P.points == generate(InstanceSpec("uniform-square", 120, 3)).points
@@ -324,7 +335,7 @@ class TestBenchCommand:
 
     def test_every_method_runs(self, capsys):
         digests = {}
-        for method in ("skyline-sort", "skyline-optimal", "skyline-brute",
+        for method in ("skyline-sort", "skyline-optimal",
                        "decide-materialized", "decide-grouped", "matrix",
                        "parametric", "gonzalez", "one-center", "approx:0.1"):
             k = "1" if method == "one-center" else "2"
@@ -361,6 +372,7 @@ class TestBenchCommand:
         ("approx", "2", "approx needs an epsilon, e.g. approx:0.1"),
         ("one-center", "1,2", "one-center requires k=1"),
         ("skyline-slow", "2", "unknown method 'skyline-slow'"),
+        ("skyline-brute", "2", "unknown method 'skyline-brute'"),
     ])
     def test_bad_method_exits_2_before_the_table(self, capsys, method, k,
                                                  err):

@@ -9,16 +9,16 @@ from pareto_kcenter.decision import decide_grouped, decide_materialized
 from pareto_kcenter.geom import Point, PointSet, dist_sq
 from pareto_kcenter.grouped import build
 from pareto_kcenter.instrument import counters
-from pareto_kcenter.oracle import brute_psi_sq, brute_skyline
 from pareto_kcenter.skyline import slow_skyline
 
 import search_reference
-from conftest import (RAW_POINTS, SCALES, STAIR4, random_pointset,
+from conftest import (RAW_POINTS, SCALES, STAIR4, from_coords, random_pointset,
                       scaled_pointset)
+from oracle import brute_psi_sq, brute_skyline
 
 
 def stair4_sky():
-    return slow_skyline(PointSet.from_coords(STAIR4))
+    return slow_skyline(from_coords(STAIR4))
 
 
 def radii_with_offsets(sky):
@@ -113,7 +113,7 @@ class TestDecideGrouped:
                     assert got.clusters == want.clusters
 
     def test_radius_above_diameter_matches_materialized(self):
-        P = PointSet.from_coords(STAIR4)
+        P = from_coords(STAIR4)
         G = build(P, 2)
         for lam_sq in (18.0, 1e4, 1e300):
             out = decide_grouped(G, 1, lam_sq)
@@ -137,7 +137,7 @@ class TestDecideGrouped:
                 assert not decide_grouped(G, k, below[-1]).feasible
 
     def test_k_validation(self):
-        G = build(PointSet.from_coords(STAIR4), 2)
+        G = build(from_coords(STAIR4), 2)
         with pytest.raises(ValueError):
             decide_grouped(G, 0, 1.0)
         with pytest.raises(ValueError):
@@ -146,7 +146,7 @@ class TestDecideGrouped:
 
 @pytest.mark.parametrize("lam_sq", [-1.0, math.nan])
 def test_negative_or_nan_radius_rejected(lam_sq):
-    P = PointSet.from_coords(STAIR4)
+    P = from_coords(STAIR4)
     with pytest.raises(ValueError):
         decide_materialized(slow_skyline(P), 2, lam_sq)
     with pytest.raises(ValueError):

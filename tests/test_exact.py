@@ -16,18 +16,19 @@ from pareto_kcenter.exact import (SortedDistanceMatrix, matrix_select,
                                   solve_via_matrix)
 from pareto_kcenter.geom import PointSet, dist_sq
 from pareto_kcenter.grouped import build, next_relevant_point
-from pareto_kcenter.instances import InstanceSpec, fixed_skyline_fill, generate
+from pareto_kcenter.instances import InstanceSpec, generate
 from pareto_kcenter.instrument import counters
-from pareto_kcenter.oracle import brute_opt, brute_psi_sq, brute_skyline
 from pareto_kcenter.skyline import slow_skyline
 
 import search_reference
-from conftest import (RAW_POINTS, SCALE_VALUES, SCALES, STAIR3, STAIR4,
-                      random_pointset, scaled_pointset)
+from conftest import (RAW_POINTS, SCALES, SCALE_VALUES, STAIR3, STAIR4,
+                      fixed_skyline_fill, from_coords, random_pointset,
+                      scaled_pointset)
+from oracle import brute_opt, brute_psi_sq, brute_skyline
 
 
 def sky_of(coords):
-    return slow_skyline(PointSet.from_coords(coords))
+    return slow_skyline(from_coords(coords))
 
 
 class TestMatrixSelect:
@@ -85,15 +86,29 @@ class TestMatrixSelect:
 
 class TestSolveViaMatrix:
     def test_staircase4(self):
-        res = solve_via_matrix(PointSet.from_coords(STAIR4), 2)
+        res = solve_via_matrix(from_coords(STAIR4), 2)
         assert res.lambda_star_sq == 2.0
         assert res.lambda_star == math.sqrt(2.0)
 
     def test_k_at_least_h(self):
-        P = PointSet.from_coords(STAIR4)
+        P = from_coords(STAIR4)
         res = solve_via_matrix(P, 4)
         assert res.lambda_star_sq == 0.0
         assert res.centers == slow_skyline(P).pts
+
+    def test_k_at_least_h_ends_with_the_certifying_decision(self):
+        # Both points are on the skyline, but their squared distance
+        # underflows to 0: the decision at radius 0 covers them with one
+        # center, and both routes return it.
+        P = PointSet(np.array([(0.0, 0.0), (5e-324, -5e-324)]))
+        assert len(slow_skyline(P)) == 2
+        counters.reset()
+        a = solve_via_matrix(P, 2)
+        assert counters.get("decide_calls") == 1
+        b = solve_parametric(P, 2)
+        assert a.lambda_star_sq == b.lambda_star_sq == 0.0
+        assert len(a.centers) == 1
+        assert _digest(a.centers, 0.0) == _digest(b.centers, 0.0)
 
     def test_matches_oracle(self, rng):
         for _ in range(60):
@@ -115,11 +130,11 @@ class TestSolveViaMatrix:
         monkeypatch.setattr(exact, "multi_array_search",
                             lambda row_value, lo, hi, probe: 0.0)
         with pytest.raises(InternalInvariantViolation):
-            solve_via_matrix(PointSet.from_coords(STAIR4), 2)
+            solve_via_matrix(from_coords(STAIR4), 2)
 
     def test_negative_and_mixed_sign_coordinates(self, rng):
         for _ in range(40):
-            P = PointSet.from_coords(
+            P = from_coords(
                 [(rng.randint(-40, 40), rng.randint(-40, 40))
                  for _ in range(rng.randint(1, 60))])
             k = rng.randint(1, 5)
@@ -135,7 +150,7 @@ class TestSolveViaMatrix:
         [(i, i) for i in range(6)],                # chain of dominations
     ])
     def test_degenerate_layouts(self, coords):
-        P = PointSet.from_coords(coords)
+        P = from_coords(coords)
         for k in (1, 2, 3):
             want = brute_opt(P, k)
             assert solve_via_matrix(P, k).lambda_star_sq == want
@@ -200,11 +215,11 @@ class TestMultiArraySearch:
 
 class TestSolveParametric:
     def test_staircase4(self):
-        res = solve_parametric(PointSet.from_coords(STAIR4), 2)
+        res = solve_parametric(from_coords(STAIR4), 2)
         assert res.lambda_star_sq == 2.0
 
     def test_k_at_least_h(self):
-        res = solve_parametric(PointSet.from_coords(STAIR4), 4)
+        res = solve_parametric(from_coords(STAIR4), 4)
         assert res.lambda_star_sq == 0.0
 
     def test_only_auto_chooses_the_route(self):
@@ -212,7 +227,7 @@ class TestSolveParametric:
         # route, 17 the parametric one, with the same digest as both
         # routes; solve_parametric runs its own route at every k.
         for n, tag in ((16, "matrix"), (17, "parametric")):
-            P = PointSet.from_coords([(i, n - 1 - i) for i in range(n)])
+            P = from_coords([(i, n - 1 - i) for i in range(n)])
             res = solver("auto", [2])(P, 2)
             assert res.algorithm == tag
             assert len({_digest(r.centers, r.lambda_star_sq) for r in
@@ -236,7 +251,7 @@ class TestSolveParametric:
         for seed in range(4):
             local = random.Random(seed)
             n = local.randint(2500, 3500)
-            P = PointSet.from_coords(
+            P = from_coords(
                 [(local.uniform(0, 1000), local.uniform(0, 1000))
                  for _ in range(n)])
             for k in (2, 3):
@@ -251,7 +266,7 @@ class TestSolveParametric:
         # Every search answering 0 yields an infeasible recovered radius.
         monkeypatch.setattr(exact, "multi_array_search",
                             lambda row_value, lo, hi, probe: 0.0)
-        P = PointSet.from_coords([(i, 19 - i) for i in range(20)])
+        P = from_coords([(i, 19 - i) for i in range(20)])
         with pytest.raises(InternalInvariantViolation):
             solve_parametric(P, 2)
 
@@ -391,8 +406,8 @@ def test_lockstep_engine_equals_reference_on_group_suffixes(scale, raw, data):
 def test_lockstep_engine_equals_reference_with_tied_rows(scale):
     # equal steps: each distance recurs in many rows, and in a group's
     # suffix every pivot meets its equals in the other rows
-    P = PointSet.from_coords([(i * scale, (23 - i) * scale)
-                              for i in range(24)])
+    P = from_coords([(i * scale, (23 - i) * scale)
+                     for i in range(24)])
     S = slow_skyline(P)
     ref_rows = search_reference.matrix_rows(S)
     entries = sorted({row[j] for row in ref_rows for j in range(len(row))})

@@ -5,17 +5,17 @@ from hypothesis import given, settings
 from pareto_kcenter.exact import solve_parametric, solve_via_matrix
 from pareto_kcenter.geom import Point, PointSet, SkylineArray, dist_sq, extremes
 from pareto_kcenter.grouped import build, next_relevant_point
-from pareto_kcenter.oracle import brute_skyline
 from pareto_kcenter.skyline import slow_skyline
 from pareto_kcenter.smallk import approx_solve, gonzalez_2approx
 
-from conftest import (RAW_POINTS, SCALES, random_pointset, scaled_points,
-                      x_tied_rows)
+from conftest import (RAW_POINTS, SCALES, from_coords, random_pointset,
+                      scaled_points, validate_staircase, x_tied_rows)
+from oracle import brute_skyline
 
 
 class TestExtremes:
     def test_ties_break_toward_the_other_coordinate(self):
-        P = PointSet.from_coords([(1, 5), (2, 5), (6, 0), (6, 2), (0, 0)])
+        P = from_coords([(1, 5), (2, 5), (6, 0), (6, 2), (0, 0)])
         assert extremes(P) == (Point(2, 5), Point(6, 2))
 
     def test_ends_of_the_skyline(self, rng):
@@ -38,11 +38,11 @@ class TestDistSq:
 
 class TestPointSet:
     def test_deduplicates(self):
-        P = PointSet.from_coords([(1, 1), (2, 2), (1, 1)])
+        P = from_coords([(1, 1), (2, 2), (1, 1)])
         assert len(P) == 2
 
     def test_preserves_input_order(self):
-        P = PointSet.from_coords([(3, 0), (1, 2), (3, 0), (0, 5)])
+        P = from_coords([(3, 0), (1, 2), (3, 0), (0, 5)])
         assert [(p.x, p.y) for p in P] == [(3, 0), (1, 2), (0, 5)]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -50,7 +50,7 @@ class TestPointSet:
         with pytest.raises(ValueError):
             Point(bad, 0.0)
         with pytest.raises(ValueError):
-            PointSet.from_coords([(0.0, bad)])
+            from_coords([(0.0, bad)])
 
     @pytest.mark.parametrize("row", [[float("nan"), 0.0],
                                      [float("inf"), 1.0],
@@ -113,11 +113,11 @@ class TestSharedOrder:
 
 class TestSkylineArray:
     def test_validate_accepts_staircase(self):
-        SkylineArray([Point(0, 2), Point(1, 1), Point(2, 0)]).validate()
+        validate_staircase(SkylineArray([Point(0, 2), Point(1, 1), Point(2, 0)]))
 
     def test_validate_rejects_non_staircase(self):
         with pytest.raises(ValueError):
-            SkylineArray([Point(0, 2), Point(1, 3)]).validate()
+            validate_staircase(SkylineArray([Point(0, 2), Point(1, 3)]))
 
     def test_monotone_distances(self, rng):
         # on any skyline, distances from a point grow with x-separation

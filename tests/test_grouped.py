@@ -14,12 +14,13 @@ from pareto_kcenter.geom import Point, PointSet, dist_sq
 from pareto_kcenter.grouped import (LOCKSTEP_ROWS, build, first_false,
                                     next_on_skyline, next_relevant_point,
                                     pass_charge, test_membership_and_prev)
-from pareto_kcenter.instrument import bisect_charge, counters, sort_charge
-from pareto_kcenter.oracle import brute_skyline
+from pareto_kcenter.instrument import counters, sort_charge
 from pareto_kcenter.skyline import skyline_bounded, slow_skyline
 
-from conftest import (RAW_POINTS, SCALE_VALUES, SCALES, STAIR4,
-                      random_pointset, scaled_pointset, x_tied_rows)
+from conftest import (RAW_POINTS, SCALES, SCALE_VALUES, STAIR4, bisect_charge,
+                      from_coords, random_pointset, scaled_pointset,
+                      x_tied_rows)
+from oracle import brute_skyline
 
 # Raw points for scaled_pointset on a 5 x 5 grid: ties in x and in y are
 # common inside every group.
@@ -43,7 +44,7 @@ def candidate_radii(sky):
 
 class TestBuild:
     def test_group_count(self):
-        P = PointSet.from_coords([(i, 10 - i) for i in range(10)])
+        P = from_coords([(i, 10 - i) for i in range(10)])
         assert build(P, 3).t == 4
 
     def test_single_group_holds_global_skyline(self, rng):
@@ -53,7 +54,7 @@ class TestBuild:
         assert group_points(G, 0) == brute_skyline(P).pts
 
     def test_singleton_groups(self):
-        P = PointSet.from_coords([(0, 1), (1, 0)])
+        P = from_coords([(0, 1), (1, 0)])
         G = build(P, 1)
         assert G.t == 2
         assert [group_points(G, g) for g in range(G.t)] == [(Point(0, 1),),
@@ -114,7 +115,7 @@ class TestBuild:
 
     def test_comparison_charge_counts_padded_groups(self):
         # Groups of 3, 3 and 1 points, each charged as m + 2 points.
-        P = PointSet.from_coords([(i, 10 - i) for i in range(7)])
+        P = from_coords([(i, 10 - i) for i in range(7)])
         counters.reset()
         build(P, 3)
         want = 2 * (sort_charge(5) + 4) + sort_charge(3) + 2
@@ -133,10 +134,10 @@ class TestBuild:
 
     def test_zero_group_size_raises(self):
         with pytest.raises(ValueError, match="group size must be >= 1"):
-            build(PointSet.from_coords(STAIR4), 0)
+            build(from_coords(STAIR4), 0)
 
     def test_structure_is_frozen(self):
-        G = build(PointSet.from_coords(STAIR4), 3)
+        G = build(from_coords(STAIR4), 3)
         assert G.t == len(G.groups) == 2
         for field in dataclasses.fields(G):
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -144,7 +145,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("t", [2, LOCKSTEP_ROWS])
     def test_columns_are_read_only(self, t):
-        G = build(PointSet.from_coords([(i, 2 * t - i) for i in range(2 * t)]),
+        G = build(from_coords([(i, 2 * t - i) for i in range(2 * t)]),
                   2)
         assert G.t == t
         for col in (G.xs, G.ys, G.starts, G.groups):
@@ -154,18 +155,18 @@ class TestBuild:
 
 class TestNextOnSkyline:
     def test_two_group_staircase(self):
-        P = PointSet.from_coords(STAIR4)
+        P = from_coords(STAIR4)
         G = build(P, 2)
         assert next_on_skyline(G, 0.5) == Point(1, 2)
 
     def test_far_left_returns_highest(self):
-        P = PointSet.from_coords(STAIR4)
+        P = from_coords(STAIR4)
         G = build(P, 2)
         assert next_on_skyline(G, -math.inf) == Point(0, 3)
 
     def test_probe_charge_counts_padded_groups(self):
         # Groups of 3, 3 and 1 points, each charged as m + 2 points.
-        G = build(PointSet.from_coords([(i, 10 - i) for i in range(7)]), 3)
+        G = build(from_coords([(i, 10 - i) for i in range(7)]), 3)
         counters.reset()
         next_on_skyline(G, 0.5)
         assert counters.get("binary_search_probes") == (2 * bisect_charge(5)
@@ -173,7 +174,7 @@ class TestNextOnSkyline:
 
     def test_past_last_returns_dummy(self):
         # None stands for the paper's right dummy point.
-        P = PointSet.from_coords(STAIR4)
+        P = from_coords(STAIR4)
         G = build(P, 2)
         assert next_on_skyline(G, 3.0) is None
 
@@ -191,19 +192,19 @@ class TestNextOnSkyline:
 class TestMembershipAndPrev:
     def test_highest_point_prev_is_left_dummy(self):
         # None stands for the paper's left dummy point.
-        P = PointSet.from_coords(STAIR4)
+        P = from_coords(STAIR4)
         G = build(P, 2)
         member, prev = test_membership_and_prev(G, Point(0, 3))
         assert member and prev is None
 
     def test_interior_point_not_member(self):
-        P = PointSet.from_coords(STAIR4 + [(1, 1)])
+        P = from_coords(STAIR4 + [(1, 1)])
         G = build(P, 2)
         member, _ = test_membership_and_prev(G, Point(1, 1))
         assert not member
 
     def test_prev_of_interior_skyline_point(self):
-        P = PointSet.from_coords(STAIR4)
+        P = from_coords(STAIR4)
         G = build(P, 3)
         member, prev = test_membership_and_prev(G, Point(2, 1))
         assert member and prev == Point(1, 2)
@@ -262,18 +263,18 @@ class TestQueriesAtSignedZerosAndScales:
 
 class TestNextRelevantPoint:
     def test_staircase_small_radius(self):
-        P = PointSet.from_coords(STAIR4)
+        P = from_coords(STAIR4)
         G = build(P, 2)
         assert next_relevant_point(G, Point(0, 3), 2.25) == Point(1, 2)
 
     def test_zero_radius_returns_self(self):
-        P = PointSet.from_coords(STAIR4)
+        P = from_coords(STAIR4)
         G = build(P, 2)
         for p in brute_skyline(P):
             assert next_relevant_point(G, p, 0.0) == p
 
     def test_huge_radius_returns_last_point(self):
-        P = PointSet.from_coords(STAIR4)
+        P = from_coords(STAIR4)
         G = build(P, 2)
         assert next_relevant_point(G, Point(0, 3), 100.0) == Point(3, 0)
         assert next_relevant_point(G, Point(0, 3), 1e18) == Point(3, 0)
@@ -315,7 +316,7 @@ class TestNextRelevantPoint:
     # within the radius.  The search inlines that test.
 
     def test_rejects_negative_radius(self):
-        G = build(PointSet.from_coords(STAIR4), 2)
+        G = build(from_coords(STAIR4), 2)
         with pytest.raises(ValueError):
             next_relevant_point(G, Point(0, 3), -1.0)
 
@@ -338,7 +339,7 @@ class TestNextRelevantPoint:
         # prefix and the search does not stop short of p.
         stair = [(0, 60), (10, 50), (20, 40), (30, 30), (40, 20), (41, 19),
                  (60, 0)]
-        P = PointSet.from_coords(stair)
+        P = from_coords(stair)
         for kappa in (1, 2, 3, len(stair)):
             G = build(P, kappa)
             assert next_relevant_point(G, Point(40, 20), 2.0) == Point(41, 19)
@@ -523,7 +524,7 @@ class TestQueriesEqualTheReferencePasses:
         # numpy 2 prints an np.float64 as np.float64(...), which would
         # change the CLI's output.
         n = 4 * t
-        P = PointSet.from_coords([(i, n - i) for i in range(n)])
+        P = from_coords([(i, n - i) for i in range(n)])
         G = build(P, 4)
         assert G.t == t
         p, q = Point(1.0, n - 1.0), Point(5.0, n - 5.0)

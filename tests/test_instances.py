@@ -3,8 +3,10 @@ import hashlib
 import pytest
 
 from pareto_kcenter.cli import main
-from pareto_kcenter.instances import InstanceSpec, fixed_skyline_fill, generate
-from pareto_kcenter.oracle import brute_skyline
+from pareto_kcenter.instances import InstanceSpec, generate
+
+from conftest import fixed_skyline_fill
+from oracle import brute_skyline
 
 
 class TestDeterminism:

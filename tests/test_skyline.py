@@ -3,14 +3,14 @@ from hypothesis import given, settings
 
 from pareto_kcenter.errors import EmptyInput
 from pareto_kcenter.geom import Point, PointSet
-from pareto_kcenter.instances import fixed_skyline_fill
 from pareto_kcenter.instrument import counters
-from pareto_kcenter.oracle import brute_skyline
 from pareto_kcenter.skyline import (skyline_bounded, skyline_optimal,
                                     slow_skyline)
 
-from conftest import (RAW_POINTS, SCALES, STAIR5, random_pointset,
-                      scaled_pointset, x_tied_rows)
+from conftest import (RAW_POINTS, SCALES, STAIR5, fixed_skyline_fill,
+                      from_coords, random_pointset, scaled_pointset,
+                      validate_staircase, x_tied_rows)
+from oracle import brute_skyline
 
 
 def coords(sky):
@@ -19,23 +19,23 @@ def coords(sky):
 
 class TestSlowSkyline:
     def test_dominated_point_removed(self):
-        P = PointSet.from_coords([(0, 0), (1, 1)])
+        P = from_coords([(0, 0), (1, 1)])
         assert coords(slow_skyline(P)) == [(1, 1)]
 
     def test_staircase_kept_in_x_order(self):
-        P = PointSet.from_coords([(2, 0), (0, 2), (1, 1)])
+        P = from_coords([(2, 0), (0, 2), (1, 1)])
         assert coords(slow_skyline(P)) == [(0, 2), (1, 1), (2, 0)]
 
     def test_mixed_instance(self):
-        P = PointSet.from_coords([(2, 2), (1, 3), (3, 1), (0, 0)])
+        P = from_coords([(2, 2), (1, 3), (3, 1), (0, 0)])
         assert coords(slow_skyline(P)) == [(1, 3), (2, 2), (3, 1)]
 
     def test_shared_x_keeps_higher(self):
-        P = PointSet.from_coords([(1, 1), (1, 2)])
+        P = from_coords([(1, 1), (1, 2)])
         assert coords(slow_skyline(P)) == [(1, 2)]
 
     def test_shared_y_keeps_righter(self):
-        P = PointSet.from_coords([(1, 5), (2, 5)])
+        P = from_coords([(1, 5), (2, 5)])
         assert coords(slow_skyline(P)) == [(2, 5)]
 
     def test_empty_raises(self):
@@ -43,7 +43,7 @@ class TestSlowSkyline:
             slow_skyline(PointSet([]))
 
     def test_counter_charge(self):
-        P = PointSet.from_coords([(i, 9 - i) for i in range(10)])
+        P = from_coords([(i, 9 - i) for i in range(10)])
         counters.reset()
         slow_skyline(P)
         assert counters.get("skyline_comparisons") == 10 * 4 + 9
@@ -73,12 +73,12 @@ class TestSlowSkyline:
 
 class TestSkylineBounded:
     def test_exact_fit_is_complete(self):
-        P = PointSet.from_coords(STAIR5)
+        P = from_coords(STAIR5)
         result = skyline_bounded(P, 5)
         assert result.complete and len(result.skyline) == 5
 
     def test_one_short_is_incomplete(self):
-        P = PointSet.from_coords(STAIR5)
+        P = from_coords(STAIR5)
         assert not skyline_bounded(P, 4).complete
 
     def test_dichotomy_over_all_guesses(self, rng):
@@ -93,16 +93,16 @@ class TestSkylineBounded:
 
     def test_bad_guess_rejected(self):
         with pytest.raises(ValueError):
-            skyline_bounded(PointSet.from_coords([(0, 0)]), 0)
+            skyline_bounded(from_coords([(0, 0)]), 0)
 
 
 class TestSkylineOptimal:
     def test_single_point(self):
-        P = PointSet.from_coords([(5, 5)])
+        P = from_coords([(5, 5)])
         assert coords(skyline_optimal(P)) == [(5, 5)]
 
     def test_full_staircase_all_returned(self):
-        P = PointSet.from_coords([(i, 1000 - i) for i in range(1000)])
+        P = from_coords([(i, 1000 - i) for i in range(1000)])
         assert len(skyline_optimal(P)) == 1000
 
     def test_three_way_equivalence(self, rng):
@@ -116,7 +116,8 @@ class TestSkylineOptimal:
 
     def test_result_is_valid_staircase(self, rng):
         for _ in range(50):
-            skyline_optimal(random_pointset(rng, rng.randint(1, 80))).validate()
+            validate_staircase(
+                skyline_optimal(random_pointset(rng, rng.randint(1, 80))))
 
     def test_work_counter_linear_at_fixed_h(self):
         # with h pinned, doubling n should roughly double the work

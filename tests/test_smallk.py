@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from pareto_kcenter import smallk
@@ -10,32 +11,35 @@ from pareto_kcenter.exact import (SolveResult, solve_parametric,
                                   solve_via_matrix)
 from pareto_kcenter.geom import Point, PointSet, dist_sq
 from pareto_kcenter.instrument import counters
-from pareto_kcenter.oracle import brute_opt, brute_psi_sq, brute_skyline
 from pareto_kcenter.smallk import (approx_solve, bisector_extremes,
                                    gonzalez_2approx, solve_one_center)
 
-from conftest import STAIR4, STAIR5, random_pointset
+from conftest import STAIR4, STAIR5, from_coords, random_pointset
+from oracle import brute_opt, brute_psi_sq, brute_skyline
+
+NO_ROWS = np.empty((0, 2))
 
 
 class TestBisectorExtremes:
     def test_staircase_tie_breaks_to_smaller_x(self):
         p0, q0 = Point(0, 3), Point(3, 0)
-        strip = [Point(1, 2), Point(2, 1)]
+        strip = np.array([(1.0, 2.0), (2.0, 1.0)])
         r_star, _ = bisector_extremes(strip, p0, q0)
         assert r_star == Point(1, 2)
         assert max(dist_sq(r_star, p0), dist_sq(r_star, q0)) == 8.0
 
     def test_empty_interior_falls_back_to_anchors(self):
         p0, q0 = Point(0, 3), Point(3, 0)
-        r_star, r_prime = bisector_extremes([], p0, q0)
+        r_star, r_prime = bisector_extremes(NO_ROWS, p0, q0)
         assert r_star == p0  # both anchors tie at d(p0, q0); smaller x wins
         assert r_prime in (p0, q0)
 
     def test_degenerate_anchors(self):
         with pytest.raises(DegenerateSpan):
-            bisector_extremes([], Point(1, 1), Point(1, 1))
+            bisector_extremes(NO_ROWS, Point(1, 1), Point(1, 1))
         with pytest.raises(DegenerateSpan):  # the distance underflows to 0
-            bisector_extremes([], Point(0.0, 0.0), Point(5e-324, -5e-324))
+            bisector_extremes(NO_ROWS, Point(0.0, 0.0),
+                              Point(5e-324, -5e-324))
 
     def test_matches_exhaustive_scan(self, rng):
         for _ in range(120):
@@ -44,7 +48,8 @@ class TestBisectorExtremes:
             if len(sky) < 2:
                 continue
             p0, q0 = sky[0], sky[-1]
-            strip = [p for p in P if p0.x <= p.x <= q0.x]
+            x = P.xy[:, 0]
+            strip = P.xy[(x >= p0.x) & (x <= q0.x)]
             r_star, r_prime = bisector_extremes(strip, p0, q0)
             mx = lambda p: max(dist_sq(p, p0), dist_sq(p, q0))
             mn = lambda p: min(dist_sq(p, p0), dist_sq(p, q0))
@@ -55,13 +60,13 @@ class TestBisectorExtremes:
 
 class TestSolveOneCenter:
     def test_known_instance(self):
-        P = PointSet.from_coords([(0, 3), (1, 2), (3, 0), (0, 0), (1, 1)])
+        P = from_coords([(0, 3), (1, 2), (3, 0), (0, 0), (1, 1)])
         res = solve_one_center(P)
         assert res.centers == (Point(1, 2),)
         assert res.lambda_star_sq == 8.0
 
     def test_single_point(self):
-        res = solve_one_center(PointSet.from_coords([(4, 4)]))
+        res = solve_one_center(from_coords([(4, 4)]))
         assert res.lambda_star_sq == 0.0
 
     def test_extremes_whose_distance_underflows(self):
@@ -92,12 +97,12 @@ class TestSolveOneCenter:
 
 class TestGonzalez:
     def test_spec_trace_on_staircase5(self):
-        res = gonzalez_2approx(PointSet.from_coords(STAIR5), 3)
+        res = gonzalez_2approx(from_coords(STAIR5), 3)
         assert [(c.x, c.y) for c in res.centers] == [(0, 4), (4, 0), (2, 2)]
         assert res.lambda_star_sq == 2.0
 
     def test_k_at_least_h_reaches_zero(self):
-        res = gonzalez_2approx(PointSet.from_coords(STAIR4), 9)
+        res = gonzalez_2approx(from_coords(STAIR4), 9)
         assert res.lambda_star_sq == 0.0
         assert len(res.centers) == 4
 
@@ -145,18 +150,18 @@ class TestGonzalez:
 
 class TestApproxSolve:
     def test_epsilon_validation(self):
-        P = PointSet.from_coords(STAIR4)
+        P = from_coords(STAIR4)
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(InvalidEpsilon):
                 approx_solve(P, 2, bad)
 
     def test_exact_when_gonzalez_is_exact(self):
-        P = PointSet.from_coords([(0, 1), (1, 0)])
+        P = from_coords([(0, 1), (1, 0)])
         res = approx_solve(P, 2, 0.5)
         assert res.lambda_star_sq == 0.0
 
     def test_staircase5_tight(self):
-        P = PointSet.from_coords(STAIR5)
+        P = from_coords(STAIR5)
         opt = brute_opt(P, 2)  # exhaustive over all center pairs
         res = approx_solve(P, 2, 0.1)
         assert res.lambda_star_sq <= 1.21 * opt
@@ -186,7 +191,7 @@ class TestApproxSolve:
 
     def test_radius_grid_not_materialized(self):
         # The grid has 2/eps + 1 radii; the search reads about log2 of them.
-        P = PointSet.from_coords([(i, 199 - i) for i in range(200)])
+        P = from_coords([(i, 199 - i) for i in range(200)])
         tracemalloc.start()
         try:
             res = approx_solve(P, 3, 1e-5)
@@ -203,4 +208,4 @@ class TestApproxSolve:
                             lambda P, k: SolveResult(0.01, (Point(0, 4),),
                                                      "gonzalez"))
         with pytest.raises(InternalInvariantViolation):
-            approx_solve(PointSet.from_coords(STAIR5), 2, 0.5)
+            approx_solve(from_coords(STAIR5), 2, 0.5)
