@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .decision import decide_grouped, decide_materialized
-from .errors import EmptyInput, InvalidEpsilon
+from .errors import EmptyInput, InternalInvariantViolation, InvalidEpsilon
 from .exact import SolveResult, solve_parametric, solve_via_matrix
 from .geom import PointSet, SkylineArray
 from .grouped import build
@@ -190,6 +191,21 @@ def solver(method: str, ks) -> Callable:
     return lambda P, k: route.run(P, k, param)
 
 
+def _certify(S: SkylineArray, k: int, res: SolveResult, method: str) -> None:
+    """Raise InternalInvariantViolation unless the decision on S finds k
+    disks of res's radius enough and, for an exact route with a radius
+    above 0, one ulp less too little."""
+    lam_sq = res.lambda_star_sq
+    if not decide_materialized(S, k, lam_sq).feasible:
+        raise InternalInvariantViolation(
+            f"{res.algorithm}: radius^2 {lam_sq.hex()} does not cover the skyline")
+    exact = _lookup(SOLVERS, method, "method")[0].guarantee == "exact"
+    if exact and lam_sq > 0 and decide_materialized(
+            S, k, math.nextafter(lam_sq, 0)).feasible:
+        raise InternalInvariantViolation(
+            f"{res.algorithm}: radius^2 {lam_sq.hex()} is not the optimum")
+
+
 def _timed(fn, *args):
     """fn(*args) on reset counters: (result, seconds, counter snapshot)."""
     counters.reset()
@@ -264,6 +280,7 @@ def cmd_solve(args) -> int:
     run = solver(args.method, [args.k])
     S, on = _staircase(P)  # before _timed, which resets the counters
     res, _, snap = _timed(run, on, args.k)
+    _certify(S, args.k, res, args.method)  # after the counter snapshot
     report = RunReport(res, len(P), len(S), args.k,
                        (time.perf_counter() - started) * 1e3, snap)
     if args.json:

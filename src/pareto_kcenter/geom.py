@@ -50,10 +50,16 @@ def first_occurrences(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of each run of equal neighbours is the first occurrence.  Written
     back into their places in the x-sort, the lexsorted rows complete it
     to an (x, y) order.
+
+    Two early exits keep every row and skip the renumbering: when no x
+    is shared, the x-sort already is the (x, y) order, and when x is
+    shared but no row repeats, the completed x-sort is.
     """
     by_x = np.argsort(xy[:, 0])
     sx = xy[by_x, 0]
     tie = sx[1:] == sx[:-1]
+    if not tie.any():
+        return np.arange(len(by_x)), by_x
     shared = np.zeros(len(by_x), dtype=bool)
     shared[1:] = tie
     shared[:-1] |= tie
@@ -62,6 +68,8 @@ def first_occurrences(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     by_x[shared] = order
     s = xy[order]
     repeat = (s[1:, 0] == s[:-1, 0]) & (s[1:, 1] == s[:-1, 1])
+    if not repeat.any():
+        return np.arange(len(by_x)), by_x
     keep = np.ones(len(by_x), dtype=bool)
     keep[order[1:][repeat]] = False
     renumber = np.cumsum(keep) - 1
@@ -78,7 +86,8 @@ class PointSet:
 
     Built from Points or from an (m, 2) float array of finite
     coordinates.  ``xy`` holds the kept coordinates as a read-only float
-    array; the algorithms work on it and make Points only for their
+    array, the set's own copy: it never aliases or freezes a caller's
+    array.  The algorithms work on it and make Points only for their
     results.  ``order`` is the read-only permutation of xy's rows by
     (x, y) that deduplication leaves: the skylines scan it instead of
     sorting again.  ``points[i]`` is row i as a Point: the caller's own
@@ -91,23 +100,25 @@ class PointSet:
     def __init__(self, points: Iterable[Point] | np.ndarray):
         if isinstance(points, np.ndarray):
             given = None
-            xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-            finite = np.isfinite(xy).all(axis=1)
-            if not finite.all():
-                x, y = xy[np.argmin(finite)].tolist()
+            xy = np.array(points, dtype=np.float64).reshape(-1, 2)
+            if not np.isfinite(xy).all():
+                x, y = xy[np.argmin(np.isfinite(xy).all(axis=1))].tolist()
                 raise ValueError(f"non-finite coordinate: ({x}, {y})")
         else:
             given = list(points)
             xy = np.array([(p.x, p.y) for p in given],
                           dtype=np.float64).reshape(-1, 2)
         keep, order = first_occurrences(xy)
-        xy = xy[keep]
+        if len(keep) < len(xy):
+            xy = xy[keep]
+            if given is not None:
+                given = [given[i] for i in keep.tolist()]
         xy.flags.writeable = False
         order.flags.writeable = False
         self.xy: np.ndarray = xy
         self.order: np.ndarray = order
         self._points: tuple[Point, ...] | None = (
-            None if given is None else tuple(given[i] for i in keep.tolist()))
+            None if given is None else tuple(given))
 
     @property
     def points(self) -> tuple[Point, ...]:

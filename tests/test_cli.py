@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pareto_kcenter import cli
-from pareto_kcenter.cli import SOLVERS, _digest, main, solver
+from pareto_kcenter.cli import SOLVERS, _certify, _digest, main, solver
+from pareto_kcenter.errors import InternalInvariantViolation
+from pareto_kcenter.exact import SolveResult
 from pareto_kcenter.geom import PointSet
 from pareto_kcenter.pointio import read_point_file, write_points
+from pareto_kcenter.skyline import slow_skyline
 
 from conftest import RAW_POINTS, SCALES, scaled_pointset
 from oracle import brute_opt, brute_psi_sq, brute_skyline
@@ -506,6 +509,9 @@ def test_every_solver_table_entry_keeps_its_guarantee(name, scale, raw, data):
     else:
         factor = {"factor 2": 2.0, "1+eps": 1.0 + TABLE_EPS}[route.guarantee]
         assert opt <= lam_sq <= factor * factor * opt * (1 + FACTOR_SLACK)
+    # solve's certificate holds: the decision is feasible at the radius
+    # and, for an exact route, not one ulp below it.
+    _certify(slow_skyline(P), k, res, name.replace("<eps>", str(TABLE_EPS)))
     if tag in ("matrix", "parametric"):
         # The routes that certify with the greedy decision also agree on
         # the centers; one-center picks its own optimal center.
@@ -541,6 +547,36 @@ def test_solve_and_plot_compute_the_skyline_once(capsys, tmp_path,
         assert code == 0 and calls == [18]
     code, out, _ = run_cli(capsys, "solve", str(path), "--k", "2")
     assert out.startswith("method=matrix\n")  # 2^4 >= h, though 2^4 < n
+
+
+@pytest.mark.parametrize("method, name, k, radius", [
+    ("gonzalez", "gonzalez_2approx", 2, lambda r: r / 4),
+    ("approx:0.1", "approx_solve", 2, lambda r: 0.0),
+    ("matrix", "solve_via_matrix", 2, lambda r: math.nextafter(r, math.inf)),
+    ("auto", "solve_parametric", 1, lambda r: math.nextafter(r, math.inf)),
+    ("one-center", "solve_one_center", 1, lambda r: 2 * r),
+])
+def test_solve_refuses_an_uncertified_radius(capsys, monkeypatch, tmp_path,
+                                             method, name, k, radius):
+    # A radius the decision finds too small, or for an exact route one
+    # ulp or more above the optimum, is an internal error: solve prints
+    # no answer.
+    path = tmp_path / "in.txt"
+    path.write_text("0 30\n10 20\n13 11\n30 0\n5 5\n")
+    run = getattr(cli, name)
+
+    def wrong(P, *args):
+        res = run(P, *args)
+        return SolveResult(radius(res.lambda_star_sq), res.centers,
+                           res.algorithm)
+
+    code, out, _ = run_cli(capsys, "solve", str(path), "--k", str(k),
+                           "--method", method)
+    assert code == 0 and out
+    monkeypatch.setattr(cli, name, wrong)
+    with pytest.raises(InternalInvariantViolation):
+        main(["solve", str(path), "--k", str(k), "--method", method])
+    assert capsys.readouterr().out == ""
 
 
 def test_auto_reaches_the_rebound_route(monkeypatch):

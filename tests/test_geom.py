@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from pareto_kcenter.exact import solve_parametric, solve_via_matrix
 from pareto_kcenter.geom import Point, PointSet, SkylineArray, dist_sq, extremes
@@ -10,6 +12,7 @@ from pareto_kcenter.smallk import approx_solve, gonzalez_2approx
 
 from conftest import (RAW_POINTS, SCALES, from_coords, random_pointset,
                       scaled_points, validate_staircase, x_tied_rows)
+from dedup_reference import first_occurrences as reference_dedup
 from oracle import brute_skyline
 
 
@@ -56,8 +59,24 @@ class TestPointSet:
                                      [float("inf"), 1.0],
                                      [2.0, -float("inf")]])
     def test_rejects_non_finite_rows(self, row):
-        with pytest.raises(ValueError):
-            PointSet(np.array([[0.0, 0.0], row]))
+        # The message names the first non-finite row, not a later one.
+        named = re.escape(f"non-finite coordinate: ({row[0]}, {row[1]})")
+        with pytest.raises(ValueError, match=named):
+            PointSet(np.array([[0.0, 0.0], row, [-float("inf"), 3.0]]))
+
+    @pytest.mark.parametrize("rows", [[(1.0, 2.0), (3.0, 4.0)],
+                                      [(1.0, 2.0), (1.0, 5.0)],
+                                      [(1.0, 2.0), (1.0, 2.0), (3.0, 4.0)]])
+    def test_owns_its_coordinates(self, rows):
+        # Whether or not a row is dropped, xy is the set's own copy: it
+        # neither follows later writes to the caller's array nor makes
+        # that array read-only.
+        kept = [list(r) for r in dict.fromkeys(rows)]
+        for a in (np.array(rows), np.array(rows).ravel()):
+            P = PointSet(a)
+            a[:] = -7.0
+            assert P.xy.tolist() == kept
+            assert a.flags.writeable
 
     def test_solvers_never_materialize_points(self, rng, monkeypatch):
         # The solvers work on xy; an array-built set makes no per-row
@@ -105,6 +124,31 @@ class TestSharedOrder:
     @given(x_tied_rows())
     def test_order_is_lexsort_with_x_ties(self, rows):
         assert_order_is_lexsort(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.builds(lambda scale, raw: [(p.x, p.y)
+                                      for p in scaled_points(scale, raw)],
+                  SCALES, RAW_POINTS),
+        x_tied_rows()))
+    # One example per branch of first_occurrences, so that every run
+    # tries each: no shared x; shared x and no repeated row; repeated
+    # rows; 0.0 and -0.0 as one value; one row; no rows.
+    @example([(0.0, 1.0), (2.0, -1.0), (1.0, 5.0)])
+    @example([(1.0, 2.0), (0.0, 0.0), (1.0, -1.0), (1.0, 0.0)])
+    @example([(1.0, 2.0), (0.0, 0.0), (1.0, 2.0), (3.0, 1.0), (0.0, 0.0)])
+    @example([(-0.0, 1.0), (2.0, -0.0), (0.0, 1.0), (2.0, 0.0)])
+    @example([(5.0, -0.0)])
+    @example([])
+    def test_dedup_matches_the_reference(self, rows):
+        xy = np.array(rows, dtype=float).reshape(-1, 2)
+        keep, order = reference_dedup(xy.copy())
+        want = xy[keep]
+        for P in (PointSet(xy), PointSet([Point(x, y) for x, y in rows])):
+            assert P.xy.shape == want.shape
+            assert P.xy.tobytes() == want.tobytes()  # the sign of zero too
+            assert P.order.dtype == order.dtype
+            assert np.array_equal(P.order, order)
 
     def test_empty_set_has_empty_order(self):
         assert len(PointSet([]).order) == 0
