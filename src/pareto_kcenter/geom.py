@@ -38,7 +38,7 @@ def dist_sq(p: Point, q: Point) -> float:
     return dx * dx + dy * dy
 
 
-def first_occurrences(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def first_occurrences(xy: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     """Indices of the first occurrence of each distinct row of an (m, 2)
     float array, in increasing order, and the (x, y) order of the kept
     rows, each numbered by its place among them.
@@ -51,15 +51,15 @@ def first_occurrences(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     back into their places in the x-sort, the lexsorted rows complete it
     to an (x, y) order.
 
-    Two early exits keep every row and skip the renumbering: when no x
-    is shared, the x-sort already is the (x, y) order, and when x is
-    shared but no row repeats, the completed x-sort is.
+    When no x is shared, no row repeats and the x-sort already is the
+    (x, y) order: it is returned with no lexsort or renumbering, and
+    with None for the indices, as every row is kept.
     """
     by_x = np.argsort(xy[:, 0])
     sx = xy[by_x, 0]
     tie = sx[1:] == sx[:-1]
     if not tie.any():
-        return np.arange(len(by_x)), by_x
+        return None, by_x
     shared = np.zeros(len(by_x), dtype=bool)
     shared[1:] = tie
     shared[:-1] |= tie
@@ -68,8 +68,6 @@ def first_occurrences(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     by_x[shared] = order
     s = xy[order]
     repeat = (s[1:, 0] == s[:-1, 0]) & (s[1:, 1] == s[:-1, 1])
-    if not repeat.any():
-        return np.arange(len(by_x)), by_x
     keep = np.ones(len(by_x), dtype=bool)
     keep[order[1:][repeat]] = False
     renumber = np.cumsum(keep) - 1
@@ -109,7 +107,7 @@ class PointSet:
             xy = np.array([(p.x, p.y) for p in given],
                           dtype=np.float64).reshape(-1, 2)
         keep, order = first_occurrences(xy)
-        if len(keep) < len(xy):
+        if keep is not None:
             xy = xy[keep]
             if given is not None:
                 given = [given[i] for i in keep.tolist()]

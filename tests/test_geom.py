@@ -131,8 +131,8 @@ class TestSharedOrder:
                                       for p in scaled_points(scale, raw)],
                   SCALES, RAW_POINTS),
         x_tied_rows()))
-    # One example per branch of first_occurrences, so that every run
-    # tries each: no shared x; shared x and no repeated row; repeated
+    # One example per kind of input, so that every run tries each: no
+    # shared x (the early exit); shared x and no repeated row; repeated
     # rows; 0.0 and -0.0 as one value; one row; no rows.
     @example([(0.0, 1.0), (2.0, -1.0), (1.0, 5.0)])
     @example([(1.0, 2.0), (0.0, 0.0), (1.0, -1.0), (1.0, 0.0)])

@@ -268,27 +268,6 @@ def test_crlf_file_skips_the_squeeze(tmp_path, monkeypatch, block):
     assert fast_rows(crlf) == fast_rows(lf) == reference_rows(lf)
 
 
-@pytest.mark.parametrize("lone", [None, "boundary", "end"])
-def test_crlf_across_the_block_boundary(tmp_path, lone):
-    # The first read of BLOCK bytes ends between a CR and its LF.  A lone
-    # CR, earlier in the block of that CRLF or at the end of the file,
-    # ends a line too.
-    body = "".join(f"{i} {-i}.5\r\n" for i in range(9000))
-    at = body.rindex("\r\n", 0, pointio.BLOCK - 3)
-    head = "#" * (pointio.BLOCK - 3 - at) + "\r\n"  # the CR at BLOCK - 1
-    text = head + body
-    assert text[pointio.BLOCK - 1:pointio.BLOCK + 1] == "\r\n"
-    if lone == "boundary":
-        text = text.replace("\r\n", "\r\r", 1)  # the comment's; a blank line
-    elif lone == "end":
-        text = text[:-2] + "\r"
-    path = tmp_path / "in.txt"
-    path.write_bytes(text.encode())
-    want = reference_rows(path)
-    assert len(want) == 9000
-    assert fast_rows(path) == want
-
-
 @pytest.mark.parametrize("content", [b"1 2\n\xff 3\n", b"\xff\xfe1 2\n",
                                      b"1 2\n# caf\xe9\n"])
 def test_non_utf8_is_a_point_file_error(tmp_path, content):
