@@ -181,17 +181,18 @@ SOLVER_HELP = " | ".join(f"{name} ({route.guarantee})"
                          for name, route in SOLVERS.items())
 
 
-def solver(method: str, ks) -> Callable:
-    """run(P, k) -> SolveResult for a --method name, once every k in ks,
-    the name and its parameter have been checked."""
+def solver(method: str, ks) -> tuple[Callable, bool]:
+    """(run(P, k) -> SolveResult, whether the route is exact) for a
+    --method name, once every k in ks, the name and its parameter have
+    been checked."""
     _at_least_1("k", *ks)
     route, param = _lookup(SOLVERS, method, "method")
     if route.max_k is not None and max(ks) > route.max_k:
         raise InputError(f"{method} requires k={route.max_k}")
-    return lambda P, k: route.run(P, k, param)
+    return lambda P, k: route.run(P, k, param), route.guarantee == "exact"
 
 
-def _certify(S: SkylineArray, k: int, res: SolveResult, method: str) -> None:
+def _certify(S: SkylineArray, k: int, res: SolveResult, exact: bool) -> None:
     """Raise InternalInvariantViolation unless the decision on S finds k
     disks of res's radius enough and, for an exact route with a radius
     above 0, one ulp less too little."""
@@ -199,7 +200,6 @@ def _certify(S: SkylineArray, k: int, res: SolveResult, method: str) -> None:
     if not decide_materialized(S, k, lam_sq).feasible:
         raise InternalInvariantViolation(
             f"{res.algorithm}: radius^2 {lam_sq.hex()} does not cover the skyline")
-    exact = _lookup(SOLVERS, method, "method")[0].guarantee == "exact"
     if exact and lam_sq > 0 and decide_materialized(
             S, k, math.nextafter(lam_sq, 0)).feasible:
         raise InternalInvariantViolation(
@@ -274,13 +274,21 @@ def cmd_decide(args) -> int:
     return EXIT_INFEASIBLE
 
 
-def cmd_solve(args) -> int:
-    started = time.perf_counter()  # time_ms covers the read and skyline too
+def _solve(args) -> tuple[PointSet, SkylineArray, SolveResult, dict]:
+    """solve's and plot's run of --method on the input: the points P,
+    their skyline S, the route's certified result on S and its counter
+    snapshot."""
     P = _load(args.input)
-    run = solver(args.method, [args.k])
+    run, exact = solver(args.method, [args.k])
     S, on = _staircase(P)  # before _timed, which resets the counters
     res, _, snap = _timed(run, on, args.k)
-    _certify(S, args.k, res, args.method)  # after the counter snapshot
+    _certify(S, args.k, res, exact)  # after the counter snapshot
+    return P, S, res, snap
+
+
+def cmd_solve(args) -> int:
+    started = time.perf_counter()  # time_ms covers the read and skyline too
+    P, S, res, snap = _solve(args)
     report = RunReport(res, len(P), len(S), args.k,
                        (time.perf_counter() - started) * 1e3, snap)
     if args.json:
@@ -324,7 +332,7 @@ def cmd_bench(args) -> int:
     if args.method in BENCH_JOBS:
         setup, timed = BENCH_JOBS[args.method]
     else:
-        run = solver(args.method, ks)
+        run, _ = solver(args.method, ks)
         setup, timed = None, lambda P, k, _: run(P, k)
     cols = ["gen", "n", "h", "k", "method", "ms", *BENCH_COUNTERS,
             "t_ratio", "c_ratio", "digest"]
@@ -356,10 +364,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    P = _load(args.input)
-    run = solver(args.method, [args.k])
-    sky, on = _staircase(P)
-    res = run(on, args.k)
+    P, sky, res, _ = _solve(args)
     doc = render_svg(P, sky, res.centers, res.lambda_star)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -495,7 +495,7 @@ def test_every_solver_table_entry_keeps_its_guarantee(name, scale, raw, data):
     P = scaled_pointset(scale, raw)
     sky = brute_skyline(P).pts
     opt = brute_opt(P, k)
-    run = solver(name.replace("<eps>", str(TABLE_EPS)), [k])
+    run, exact = solver(name.replace("<eps>", str(TABLE_EPS)), [k])
     res = run(P, k)
     tag, lam_sq, centers = res.algorithm, res.lambda_star_sq, res.centers
     # solve and plot run the route on the staircase: the same answer.
@@ -511,11 +511,11 @@ def test_every_solver_table_entry_keeps_its_guarantee(name, scale, raw, data):
         assert opt <= lam_sq <= factor * factor * opt * (1 + FACTOR_SLACK)
     # solve's certificate holds: the decision is feasible at the radius
     # and, for an exact route, not one ulp below it.
-    _certify(slow_skyline(P), k, res, name.replace("<eps>", str(TABLE_EPS)))
+    _certify(slow_skyline(P), k, res, exact)
     if tag in ("matrix", "parametric"):
         # The routes that certify with the greedy decision also agree on
         # the centers; one-center picks its own optimal center.
-        ref = solver("matrix", [k])(P, k)
+        ref = solver("matrix", [k])[0](P, k)
         assert _digest(centers, lam_sq) == _digest(ref.centers,
                                                    ref.lambda_star_sq)
 
@@ -560,7 +560,7 @@ def test_solve_refuses_an_uncertified_radius(capsys, monkeypatch, tmp_path,
                                              method, name, k, radius):
     # A radius the decision finds too small, or for an exact route one
     # ulp or more above the optimum, is an internal error: solve prints
-    # no answer.
+    # no answer and plot writes no picture.
     path = tmp_path / "in.txt"
     path.write_text("0 30\n10 20\n13 11\n30 0\n5 5\n")
     run = getattr(cli, name)
@@ -570,13 +570,20 @@ def test_solve_refuses_an_uncertified_radius(capsys, monkeypatch, tmp_path,
         return SolveResult(radius(res.lambda_star_sq), res.centers,
                            res.algorithm)
 
-    code, out, _ = run_cli(capsys, "solve", str(path), "--k", str(k),
-                           "--method", method)
-    assert code == 0 and out
+    svg = tmp_path / "out.svg"
+    runs = [["solve", str(path), "--k", str(k), "--method", method],
+            ["plot", str(path), "--k", str(k), "--method", method,
+             "--out", str(svg)]]
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+    svg.unlink()
     monkeypatch.setattr(cli, name, wrong)
-    with pytest.raises(InternalInvariantViolation):
-        main(["solve", str(path), "--k", str(k), "--method", method])
-    assert capsys.readouterr().out == ""
+    for argv in runs:
+        with pytest.raises(InternalInvariantViolation):
+            main(argv)
+        assert capsys.readouterr().out == ""
+    assert not svg.exists()
 
 
 def test_auto_reaches_the_rebound_route(monkeypatch):
@@ -591,7 +598,7 @@ def test_auto_reaches_the_rebound_route(monkeypatch):
     for n, want in ((16, "solve_via_matrix"), (17, "solve_parametric")):
         P = scaled_pointset(1.0, [(i, n - 1 - i, 0, 0) for i in range(n)])
         calls.clear()
-        solver("auto", [2])(P, 2)
+        solver("auto", [2])[0](P, 2)
         assert calls == [want]
 
 

@@ -228,7 +228,7 @@ class TestSolveParametric:
         # routes; solve_parametric runs its own route at every k.
         for n, tag in ((16, "matrix"), (17, "parametric")):
             P = from_coords([(i, n - 1 - i) for i in range(n)])
-            res = solver("auto", [2])(P, 2)
+            res = solver("auto", [2])[0](P, 2)
             assert res.algorithm == tag
             assert len({_digest(r.centers, r.lambda_star_sq) for r in
                         (res, solve_via_matrix(P, 2), solve_parametric(P, 2))}

@@ -11,12 +11,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pareto_kcenter import pointio
 from pareto_kcenter.geom import Point, PointSet
 from pareto_kcenter.pointio import (PointFileError, fmt_coord, parse_points,
-                                    read_point_file)
+                                    read_point_file, write_points)
 
 from conftest import SCALES
 
@@ -94,23 +94,25 @@ def exact(P):
 
 
 def reference(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return PointSet(parse_points(fh))
+    """read_point_file with every file read by parse_points."""
+    with mock.patch.object(pointio, "_load_columns", lambda fh: None):
+        return read_point_file(path)
+
+
+def outcome(read, path):
+    """read's points as exact() gives them, or the text of its
+    PointFileError."""
+    try:
+        return exact(read(str(path)))
+    except PointFileError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("content", TRICKY, ids=repr)
 def test_fast_parser_matches_parse_points(tmp_path, content):
     path = tmp_path / "in.txt"
     path.write_bytes(content)
-    try:
-        want = exact(reference(path))
-    except PointFileError as exc:
-        want = str(exc)
-    try:
-        got = exact(read_point_file(str(path)))
-    except PointFileError as exc:
-        got = str(exc)
-    assert got == want
+    assert outcome(read_point_file, path) == outcome(reference, path)
 
 
 def fast_rows(path):
@@ -131,10 +133,11 @@ def from_bits(bits):
 
 
 FORMS = (repr, "{:.17g}".format, "{:.6e}".format)
+BITS = st.integers(0, 2 ** 64 - 1).map(from_bits).filter(math.isfinite)
 VALUES = st.one_of(
     st.builds(lambda scale, a, ulps: math.nextafter(a * scale, math.inf) if ulps
               else a * scale, SCALES, st.integers(-40, 40), st.booleans()),
-    st.integers(0, 2 ** 64 - 1).map(from_bits).filter(math.isfinite))
+    BITS)
 TOKENS = st.one_of(
     st.builds(lambda form, v: form(v), st.sampled_from(FORMS), VALUES),
     st.integers(-10 ** 30, 10 ** 30).map(str),
@@ -142,7 +145,7 @@ TOKENS = st.one_of(
     st.builds("{}{}e{}".format, st.sampled_from(["", "-"]),
               st.integers(0, 10 ** 40), st.integers(-345, 268)),
     st.sampled_from(["-0", "0", "-0.0"]),
-    # Outside JSON's grammar: read with float().
+    # Outside JSON's grammar: the block reader refuses them.
     st.sampled_from(["+1", ".5", "1.", "01", "-.5e3", "+0", "-01.e2"]))
 GAP = st.sampled_from([" ", "\t", "  ", " \t "])
 EDGE = st.sampled_from(["", "", " ", "\t"])
@@ -155,9 +158,15 @@ EXTRA = st.sampled_from(["", " ", "\t", "# a comment", "  # 1 2",
 def point_files(draw):
     """Text of valid point files in every layout parse_points reads: blank
     and comment lines (some not ASCII), tabs, trailing comments, CRLF,
-    lone CR, and no final line break."""
+    lone CR, and no final line break.  Half of them have only the layout
+    the block reader takes: one space or tab between two tokens a line."""
+    plain = draw(st.booleans())
     lines = []
     for x, y in draw(st.lists(st.tuples(TOKENS, TOKENS), max_size=40)):
+        if plain:
+            lines.append(x + draw(st.sampled_from([" ", "\t"])) + y
+                         + draw(END))
+            continue
         if draw(st.integers(0, 4)) == 0:
             lines.append(draw(EXTRA) + draw(END))
         comment = " # c" if draw(st.integers(0, 4)) == 0 else ""
@@ -169,14 +178,61 @@ def point_files(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(point_files(), st.sampled_from([1, 2, 3, 5, 8, 13, 64, 1 << 16]))
+@example("# a comment\n1 2\n", 1 << 16)
+@example("1 2 # c\n3 4\n", 3)
+@example("1 2\n\n3 4\n", 2)
+@example("1  2\n3 \t 4\n", 5)
+@example(" 1 2\n3 4 \n", 1 << 16)
+@example("+1 .5\n1. 01\n", 1 << 16)
+@example("1 2\r\n3 4\r\n", 3)
+@example("1 2\r3 4\r", 2)
+@example("1\t2\n3\t4\n", 1 << 16)
+@example("1 2\n3 4", 8)
 def test_fast_reader_matches_parse_points(text, block):
-    # Blocks of a few bytes put most lines across block boundaries.
+    # read_point_file gives what parse_points gives, and the block reader
+    # gives the same rows or refuses the file.  Blocks of a few bytes put
+    # most lines across block boundaries.
     with tempfile.TemporaryDirectory() as d, \
             mock.patch.object(pointio, "BLOCK", block):
         path = os.path.join(d, "in.txt")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        assert fast_rows(path) == reference_rows(path)
+        assert outcome(read_point_file, path) == outcome(reference, path)
+        assert fast_rows(path) in (None, reference_rows(path))
+
+
+def write_with_savetxt(rows, fh):
+    np.savetxt(fh, np.array(rows, dtype=float).reshape(-1, 2), fmt="%.17g")
+
+
+WRITERS = {
+    "write_points": lambda rows, fh: write_points(
+        [Point(x, y) for x, y in rows], fh),
+    "savetxt": write_with_savetxt,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(BITS, BITS), max_size=30),
+       st.sampled_from(sorted(WRITERS)), st.sampled_from(["\n", "\r\n", "\r"]),
+       st.sampled_from([" ", "\t"]), st.sampled_from([1, 3, 64, 1 << 16]))
+@example([(-0.0, 0.0), (5e-324, -1.7976931348623157e308)], "savetxt", "\n",
+         " ", 1 << 16)
+def test_written_files_take_the_one_pass(rows, writer, newline, gap, block):
+    # The files that write_points and np.savetxt write, the benchmark's
+    # inputs among them, are read by the block reader, not by
+    # parse_points, with any of the line breaks and either gap.
+    buf = io.StringIO()
+    WRITERS[writer](rows, buf)
+    text = buf.getvalue().replace(" ", gap).replace("\n", newline)
+    with tempfile.TemporaryDirectory() as d, \
+            mock.patch.object(pointio, "BLOCK", block):
+        path = os.path.join(d, "in.txt")
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+        got = fast_rows(path)
+        assert got is not None
+        assert got == reference_rows(path)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -230,7 +286,7 @@ def test_start_up_leaves_orjson_unimported(args):
 
 def test_plain_file_skips_parse_points(tmp_path, monkeypatch):
     path = tmp_path / "in.txt"
-    path.write_text("# header\n0.5 -0\n3 4\n0.5 0\n")
+    path.write_text("0.5 -0\n3 4\n0.5 0\n")
 
     def refuse(_):
         raise AssertionError("parse_points called on a plain file")
@@ -241,31 +297,22 @@ def test_plain_file_skips_parse_points(tmp_path, monkeypatch):
     assert P.xy.tolist() == [[0.5, -0.0], [3.0, 4.0]]
 
 
-def test_odd_token_keeps_the_fast_reader(tmp_path, monkeypatch):
-    path = tmp_path / "in.txt"
-    path.write_text("+1 2\n" + "".join(f"{i} {-i}\n" for i in range(2, 9000)))
-
-    def refuse(_):
-        raise AssertionError("parse_points called for one odd token")
-
-    monkeypatch.setattr(pointio, "parse_points", refuse)
-    assert read_point_file(str(path)).xy.tolist() == [
-        [i, 2 if i == 1 else -i] for i in range(1, 9000)]
-
-
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 16])
-def test_crlf_file_skips_the_squeeze(tmp_path, monkeypatch, block):
+def test_crlf_file_skips_parse_points(tmp_path, monkeypatch, block):
+    # Reads of 1, 2, 3 and 5 bytes split CRLFs across reads.
     lines = ["0.5 -0", "3 4", "-1e-300 7.25", "12 -3"] * 50
     lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
     lf.write_bytes("\n".join(lines).encode() + b"\n")
     crlf.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    want = reference_rows(lf)
 
     def refuse(_):
-        raise AssertionError("_squeeze called on a CRLF file")
+        raise AssertionError("parse_points called on a CRLF file")
 
-    monkeypatch.setattr(pointio, "_squeeze", refuse)
+    monkeypatch.setattr(pointio, "parse_points", refuse)
     monkeypatch.setattr(pointio, "BLOCK", block)
-    assert fast_rows(crlf) == fast_rows(lf) == reference_rows(lf)
+    assert fast_rows(crlf) == fast_rows(lf) == want
+    assert exact(read_point_file(str(crlf))) == exact(read_point_file(str(lf)))
 
 
 @pytest.mark.parametrize("content", [b"1 2\n\xff 3\n", b"\xff\xfe1 2\n",
