@@ -152,7 +152,9 @@ def multi_array_search(row_value: Callable, lo, hi,
     the live rows' medians and clips every live row past it, discarding
     at least a quarter of the remaining mass, so the predicate runs
     O(log total) times.  The clip bisects each row's side of its median
-    with first_false, whose answer is unique; it counts nothing here.
+    with first_false, whose answer is unique; it counts nothing here.  A
+    settled row's distance at max(a - 1, 0) is a column index too, so
+    first_false may read it and ignore it.
     """
     live = np.flatnonzero(np.less(lo, hi))
     a, b = np.take(lo, live), np.take(hi, live)

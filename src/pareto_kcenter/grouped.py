@@ -9,9 +9,11 @@ and the next relevant point, the farthest skyline point right of p
 within a radius.  That is the rightmost point above the highest
 uncovered point, or the last point if none is uncovered; the predecessor
 query ends in the same y-keyed pass.  Each pass is one bisection of
-every group, all groups at once (first_false).  The ends of the
-staircase are index bounds, not padding points: a query that runs past
-either end answers None.  The bounded probe builds the same
+every group, all groups at once (first_false): from LOCKSTEP_ROWS groups
+on, each round is the same few numpy operations over every group, with
+the settled groups masked rather than dropped from the arrays.  The ends
+of the staircase are index bounds, not padding points: a query that runs
+past either end answers None.  The bounded probe builds the same
 GroupedSkyline and walks it with the next-point pass.
 """
 
@@ -24,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InternalInvariantViolation
-from .geom import Point, PointSet, extremes, lex_argmax
+from .geom import Point, PointSet, extremes
 from .instrument import counters, sort_charge
 
 SEARCHES = "binary_searches"
@@ -35,26 +37,31 @@ CMP = "skyline_comparisons"
 # at a time, since a numpy round costs tens of microseconds whatever its
 # size.  One next_relevant_point query, one at a time against lockstep,
 # on a 2-CPU x86-64 VM (Python 3.11.7, numpy 2.4.6, best of 7):
-#   t = 2     27 us against 530 us (16,000-point staircase), 34 against 559
+#   t = 2     14 us against 300 us (16,000-point staircase), 17 against 228
 #             (200,000 points hiding 2,000 skyline points, shuffled);
-#   t = 128   182 us against 457 us (staircase), 719 against 359 (shuffled);
-#   t = 8000  20.8 ms against 1.8 ms (shuffled).
-# A sorted input settles most rows at an end, so it gains most below.
+#   t = 128   102 us against 179 us (staircase), 617 against 155 (shuffled);
+#   t = 8000  13.4 ms against 1.0 ms (shuffled).
+# Lockstep overtakes at about t = 250 on the staircase, which settles most
+# rows at an end, and at about t = 50 on the shuffled input.
 LOCKSTEP_ROWS = 128
 
 
 def first_false(test: Callable, a, b):
     """For each row r, the first j in [a[r], b[r]) with test(r, j) false,
     b[r] if none, and the probe count of bisecting the rows; test must be
-    true on a prefix of each row.  Each step probes (a + b - 1) // 2, the
-    bisection of (a - 1, b) with both ends virtual.
+    true on a prefix of each row, and a <= b.  Each step probes
+    (a + b - 1) // 2, the bisection of (a - 1, b) with both ends virtual.
 
     From LOCKSTEP_ROWS rows on, all rows move at once: test gets index
-    arrays, and the answers are an array.  Fewer rows are bisected one at
-    a time: test gets Python ints, and the answers are a list.  There a
-    row whose answer is one of its ends is settled by testing its ends,
-    and charged what the bisection would probe: with m = b - a, it always
-    steps the same way, floor(log2(m + 1)) times to a, ceil to b.
+    arrays over every row, and the answers are an array.  A settled row
+    (a == b) stays in the arrays, masked: test may see it at index
+    max(a - 1, 0), and that result is ignored, so test must accept any
+    such index.  Only live rows are charged a probe.  Fewer rows are
+    bisected one at a time: test gets Python ints, and the answers are a
+    list.  There a row whose answer is one of its ends is settled by
+    testing its ends, and charged what the bisection would probe: with
+    m = b - a, it always steps the same way, floor(log2(m + 1)) times to
+    a, ceil to b.
     """
     if len(a) < LOCKSTEP_ROWS:
         if isinstance(a, np.ndarray):
@@ -76,19 +83,16 @@ def first_false(test: Callable, a, b):
                     hi = mid
             out.append(lo)
         return out, probes
-    out = np.array(b)
-    act = np.flatnonzero(np.less(a, b))
-    a, b = np.take(a, act), np.take(b, act)
+    a, b = np.asarray(a), np.asarray(b)
+    rows = np.arange(len(a))
     probes = 0
-    while len(act):
-        mid = (a + b - 1) // 2
-        probes += len(act)
-        go = test(act, mid)
-        a, b = np.where(go, mid + 1, a), np.where(go, b, mid)
-        done = a == b
-        out[act[done]] = a[done]
-        act, a, b = act[~done], a[~done], b[~done]
-    return out, probes
+    while live := int(np.count_nonzero(on := a < b)):
+        probes += live
+        mid = np.maximum((a + b - 1) >> 1, 0)
+        up = test(rows, mid) & on
+        a = np.where(up, mid + 1, a)
+        b = np.where(on ^ up, mid, b)
+    return a, probes
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -138,10 +142,12 @@ def _pass(G: GroupedSkyline, test: Callable, last: bool):
     f, probes = first_false(test, a, b)
     major, minor = (xs, ys) if last else (ys, xs)
     if G.lists is None:
-        f = f - 1 if last else f
-        offers = f[f >= a] if last else f[f < b]
-        i = lex_argmax(major[offers], minor[offers])
-        return (None if i is None else int(offers[i])), probes
+        offers = f[f > a] - 1 if last else f[f < b]
+        if not len(offers):
+            return None, probes
+        keys = major[offers]
+        top = offers[keys == keys.max()]
+        return int(top[np.argmax(minor[top])]), probes
     best = None
     for i, lo, hi in zip(f, a, b):
         if last:

@@ -8,7 +8,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pareto_kcenter import cli
 from pareto_kcenter.cli import SOLVERS, _certify, _digest, main, solver
@@ -488,10 +488,12 @@ TABLE_EPS = 0.25
 
 @pytest.mark.parametrize("name", list(SOLVERS))
 @settings(max_examples=40, deadline=None)
-@given(scale=SCALES, raw=RAW_POINTS, data=st.data())
-def test_every_solver_table_entry_keeps_its_guarantee(name, scale, raw, data):
+@given(scale=SCALES, raw=RAW_POINTS, k=st.integers(1, 4))
+# Two skyline points whose squared distance underflows to 0, and k >= h.
+@example(scale=1e-170, raw=[(0, 1, 0, 0), (1, 0, 0, 0)], k=2)
+def test_every_solver_table_entry_keeps_its_guarantee(name, scale, raw, k):
     route = SOLVERS[name]
-    k = data.draw(st.integers(1, route.max_k or 4), label="k")
+    k = min(k, route.max_k or k)
     P = scaled_pointset(scale, raw)
     sky = brute_skyline(P).pts
     opt = brute_opt(P, k)

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import grouped_reference as ref
 from pareto_kcenter import grouped
@@ -27,6 +27,13 @@ from oracle import brute_skyline
 TIED_RAW = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
                               st.integers(0, 1), st.integers(0, 1)),
                     min_size=1, max_size=60)
+
+# Raw points with ties in x and in y, a duplicate, neighbours one ulp
+# apart and dominated points.
+STAIRCASE_RAW = [(0, 40, 0, 0), (-3, 41, 0, 0), (1, 39, 1, 0), (3, 30, 0, 2),
+                 (3, 30, 0, 2), (3, 30, 1, 1), (4, 30, 0, 0), (10, 10, 0, 0),
+                 (9, 9, 0, 0), (20, -5, 2, 3), (20, -6, 0, 0), (5, 5, 0, 0),
+                 (30, -40, 0, 0), (-40, 35, 3, 0)]
 
 
 def group_points(G, g):
@@ -395,34 +402,73 @@ def bisection_probes(lo, hi, test):
     return hi, probes
 
 
+ROWS = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                min_size=1, max_size=3)
+
+
+def flat_rows(rows, data):
+    """Rows [a, b) of a flat index range, from (length, gap) pairs, each
+    true before its answer f, drawn anywhere in [a, b], the ends
+    included: the (a, b) pairs and the answers."""
+    bounds, cut, a = [], [], 0
+    for length, gap in rows:
+        bounds.append((a, a + length))
+        cut.append(a + data.draw(st.integers(0, length)))
+        a += length + gap
+    return bounds, cut
+
+
+def check_first_false(test, bounds, cut):
+    """first_false's answers and probes equal a plain bisection of each
+    row; returns the answers."""
+    a = np.array([lo for lo, _ in bounds])
+    b = np.array([hi for _, hi in bounds])
+    got, probes = first_false(test, a, b)
+    want = [bisection_probes(lo, hi, lambda j, e=e: j < e)
+            for (lo, hi), e in zip(bounds, cut)]
+    assert list(got) == [w[0] for w in want] == cut
+    assert probes == sum(w[1] for w in want)
+    return got
+
+
 class TestFirstFalse:
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
-                    min_size=1, max_size=3),
-           st.booleans(), st.data())
+    @given(ROWS, st.booleans(), st.data())
     def test_answers_and_probes_equal_the_bisection(self, rows, lockstep,
                                                     data):
-        # Each row [a, b) of a flat index range is true before its answer
-        # f, drawn anywhere in [a, b], the ends included.  A lockstep run
-        # repeats the rows up to LOCKSTEP_ROWS.
-        bounds, cut, a = [], [], 0
-        for length, gap in rows:
-            f = a + data.draw(st.integers(0, length))
-            bounds.append((a, a + length))
-            cut.append(f)
-            a += length + gap
+        # A lockstep run repeats the rows up to LOCKSTEP_ROWS.
+        bounds, cut = flat_rows(rows, data)
         if lockstep:
             reps = -(-LOCKSTEP_ROWS // len(bounds))
             bounds, cut = bounds * reps, cut * reps
-        a = np.array([lo for lo, _ in bounds])
-        b = np.array([hi for _, hi in bounds])
         f = np.array(cut)
-        got, probes = first_false(lambda r, j: j < f[r], a, b)
-        want = [bisection_probes(lo, hi, lambda j, e=e: j < e)
-                for (lo, hi), e in zip(bounds, cut)]
-        assert list(got) == [w[0] for w in want] == cut
-        assert probes == sum(w[1] for w in want)
+        got = check_first_false(lambda r, j: j < f[r], bounds, cut)
         assert isinstance(got, np.ndarray) == lockstep
+
+    @settings(max_examples=100, deadline=None)
+    @given(ROWS, st.lists(st.integers(0, 60), min_size=2, max_size=5),
+           st.integers(0, 2 ** 32 - 1), st.data())
+    def test_lockstep_ignores_the_test_off_a_rows_range(self, rows, settled,
+                                                        seed, data):
+        # The lockstep rounds test settled rows too, at max(a - 1, 0), and
+        # ignore the answer: off its own [a, b) the test answers noise.
+        # Row 0 is [0, 0), and the settled rows [s, s) repeat with the
+        # others up to LOCKSTEP_ROWS.
+        bounds, cut = flat_rows(rows, data)
+        bounds += [(s, s) for s in settled]
+        cut += settled
+        reps = -(-LOCKSTEP_ROWS // len(bounds))
+        bounds, cut = [(0, 0)] + bounds * reps, [0] + cut * reps
+        a, b = (np.array(col) for col in zip(*bounds))
+        f = np.array(cut)
+        noise = np.random.default_rng(seed)
+
+        def test(r, j):
+            own = (a[r] <= j) & (j < b[r])
+            assert (own | (j == np.maximum(f[r] - 1, 0))).all()
+            return np.where(own, j < f[r], noise.random(len(r)) < 0.5)
+
+        check_first_false(test, bounds, cut)
 
 
 def hex_of_all(result):
@@ -473,6 +519,9 @@ class TestQueriesEqualTheReferencePasses:
 
     @settings(max_examples=60, deadline=None)
     @given(SCALES, RAW_POINTS, st.booleans())
+    # The extreme scales, in lockstep.
+    @example(1e-170, STAIRCASE_RAW, True)
+    @example(1e150, STAIRCASE_RAW, True)
     def test_every_scale(self, scale, raw, lockstep):
         P = scaled_pointset(scale, raw)
         with pytest.MonkeyPatch.context() as mp:
