@@ -8,8 +8,6 @@ Exit codes: 0 success/feasible, 1 infeasible, 2 input error,
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import sys
 import time
@@ -18,19 +16,21 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import DEFAULT_SEED, GENERATORS, __version__
 from .decision import decide_grouped, decide_materialized
 from .errors import EmptyInput, InternalInvariantViolation, InvalidEpsilon
-from .exact import SolveResult, solve_parametric, solve_via_matrix
+from .exact import (SolveResult, solve_by_rows, solve_parametric,
+                    solve_via_matrix)
 from .geom import PointSet, SkylineArray
 from .grouped import build
-from .instances import DEFAULT_SEED, GENERATORS, InstanceSpec, generate
 from .instrument import counters
 from .pointio import PointFileError, fmt_coord, read_point_file, write_points
 from .skyline import skyline_bounded, skyline_optimal, slow_skyline
 from .smallk import (approx_solve, check_epsilon, gonzalez_2approx,
                      solve_one_center)
-from .svgplot import render_svg
+
+# hashlib, json, .instances and .svgplot are imported by the functions
+# that use them, so start-up and the decide and skyline runs load none.
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -58,6 +58,8 @@ def _load(path: str) -> PointSet:
 
 
 def _digest(centers, lambda_star_sq: float) -> str:
+    import hashlib
+
     blob = ";".join(f"{fmt_coord(c.x)},{fmt_coord(c.y)}"
                     for c in sorted(centers, key=lambda c: (c.x, c.y)))
     blob += f"|{lambda_star_sq.hex()}"
@@ -155,11 +157,13 @@ def _size(text: str | None) -> int:
 
 
 # solve/plot/bench --method: run(P, k, parameter) gives a SolveResult.
-# Each name runs one route; auto alone chooses one, by k^4 >= |P|.
-# solve and plot hand a route the skyline, so there |P| is h.
+# Each name runs one route.  auto runs the row route at every (h, k): on
+# the grid in BENCH_auto.json no rule by (h, k) picks better, as where
+# the matrix route wins (by at most 1.45x) it loses on other inputs of
+# the same (h, k).
 SOLVERS = {
-    "auto": Route(lambda P, k, _: (solve_via_matrix if k ** 4 >= len(P)
-                                   else solve_parametric)(P, k)),
+    "auto": Route(lambda P, k, _: solve_by_rows(P, k)),
+    "rows": Route(lambda P, k, _: solve_by_rows(P, k)),
     "matrix": Route(lambda P, k, _: solve_via_matrix(P, k)),
     "parametric": Route(lambda P, k, _: solve_parametric(P, k)),
     "one-center": Route(lambda P, k, _: solve_one_center(P), max_k=1),
@@ -236,6 +240,8 @@ def _decide(P: PointSet, k: int, lam_sq: float, grouped: bool):
 
 def cmd_gen(args) -> int:
     _at_least_1("n", args.n)
+    from .instances import InstanceSpec, generate
+
     P = generate(InstanceSpec(args.generator, args.n, args.seed))
     try:
         if args.out:
@@ -292,6 +298,8 @@ def cmd_solve(args) -> int:
     report = RunReport(res, len(P), len(S), args.k,
                        (time.perf_counter() - started) * 1e3, snap)
     if args.json:
+        import json
+
         print(json.dumps(report.to_json_obj(), sort_keys=True))
     else:
         for line in report.kv_lines():
@@ -322,6 +330,8 @@ BENCH_COUNTERS = ("skyline_comparisons", "binary_searches",
 
 
 def cmd_bench(args) -> int:
+    from .instances import InstanceSpec, generate
+
     try:
         ns = [int(v) for v in args.n.split(",")]
         ks = [int(v) for v in args.k.split(",")]
@@ -364,6 +374,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .svgplot import render_svg
+
     P, sky, res, _ = _solve(args)
     doc = render_svg(P, sky, res.centers, res.lambda_star)
     try:
@@ -419,8 +431,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="2", help="comma-separated k values")
     p.add_argument("--method", default="skyline-optimal",
                    help=" | ".join(BENCH_JOBS) + " | " + SOLVER_HELP
-                   + "; solvers run on the generated points, so auto "
-                     "chooses by n here")
+                   + "; solvers run on the generated points")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_bench)
 

@@ -28,6 +28,7 @@ class DecisionOutcome:
 
 
 INCOMPLETE = DecisionOutcome(False)
+COVERED = DecisionOutcome(True)  # a verdict alone, with no centers
 
 
 def _reach(xs: list, ys: list, a: int, lambda_sq: float) -> tuple[int, int]:
@@ -53,8 +54,12 @@ def _reach(xs: list, ys: list, a: int, lambda_sq: float) -> tuple[int, int]:
     return lo, evals
 
 
-def decide_materialized(S: SkylineArray, k: int, lambda_sq: float) -> DecisionOutcome:
-    """The greedy on the skyline's columns, O(k log h) distances in all."""
+def decide_materialized(S: SkylineArray, k: int, lambda_sq: float,
+                        verdict_only: bool = False) -> DecisionOutcome:
+    """The greedy on the skyline's columns, O(k log h) distances in all.
+    It keeps indices, and makes Points only for a feasible outcome, and
+    then only if more than the verdict is asked for: the searches over
+    radii need the verdict alone, and their final decision the centers."""
     if len(S) == 0:
         raise EmptyInput("empty skyline")
     if k < 1:
@@ -63,23 +68,24 @@ def decide_materialized(S: SkylineArray, k: int, lambda_sq: float) -> DecisionOu
         raise ValueError("lambda_sq must be >= 0")
     counters.add("decide_calls")
     xs, ys = S.xs, S.ys
+    h = len(xs)
     evals = 0
-    centers: list[Point] = []
-    clusters: list[Cluster] = []
+    ends: list[tuple[int, int, int]] = []  # (leftmost, center, rightmost)
     i = 0
-    for _ in range(k):
+    while i < h and len(ends) < k:
         ca, e_c = _reach(xs, ys, i, lambda_sq)
         ra, e_r = _reach(xs, ys, ca, lambda_sq)
         evals += e_c + e_r
-        c = Point(xs[ca], ys[ca])
-        centers.append(c)
-        clusters.append((Point(xs[i], ys[i]), c, Point(xs[ra], ys[ra])))
+        ends.append((i, ca, ra))
         i = ra + 1
-        if i >= len(xs):
-            counters.add("dist_evals", evals)
-            return DecisionOutcome(True, tuple(centers), tuple(clusters))
     counters.add("dist_evals", evals)
-    return INCOMPLETE
+    if i < h:
+        return INCOMPLETE
+    if verdict_only:
+        return COVERED
+    pt = [Point(xs[j], ys[j]) for cluster in ends for j in cluster]
+    clusters = tuple(zip(pt[::3], pt[1::3], pt[2::3]))
+    return DecisionOutcome(True, tuple(pt[1::3]), clusters)
 
 
 def decide_grouped(G: GroupedSkyline, k: int, lambda_sq: float) -> DecisionOutcome:

@@ -1,20 +1,25 @@
 """Exact solvers for the k-center value along the skyline.
 
-Two routes, both searching the finite candidate set of pairwise skyline
-distances with one engine, multi_array_search, and a decision procedure
-as the predicate.  The engine keeps every sorted row as an index range
-over numpy coordinate columns and moves all rows in lockstep; each round
-clips the rows with grouped.first_false, the bisection helper that the
-grouped queries run on:
+Three routes.  Each returns a pairwise skyline distance, certified by a
+final decision that also picks the centers:
 
+* row route: run the materialized greedy at the unknown optimum, one
+  staircase row per step.  Each step bisects the row of distances from
+  its point for the first one the decision finds feasible; decisions
+  are memoized as a bracket of values, so most probes cost none.
 * matrix route: the h-1 rows d(S[r], S[j > r]) of the sorted distance
-  matrix over the skyline's columns, with the materialized decision;
-* parametric search: simulate the grouped greedy at the unknown optimum,
-  resolving each step by a search over the per-group suffixes of
-  distances from the step's point, with the grouped decision.
+  matrix over the skyline's columns, searched by multi_array_search
+  with the materialized decision;
+* parametric search (the paper's route): simulate the grouped greedy at
+  the unknown optimum, resolving each step by a multi_array_search over
+  the per-group suffixes of distances from the step's point, with the
+  grouped decision.
 
-Each solver always runs its own route; the CLI's ``auto`` entry is the
-only code that chooses between them.
+multi_array_search keeps every sorted row as an index range over numpy
+coordinate columns and moves all rows in lockstep; each round clips the
+rows with grouped.first_false, the bisection helper that the grouped
+queries run on.  Each solver always runs its own route; the CLI's
+``auto`` entry runs the row route, the fastest one measured.
 
 Distances are kept squared throughout; squaring is monotone on
 distances, so every row stays sorted.  numpy rounds dx*dx + dy*dy per
@@ -217,12 +222,88 @@ def solve_via_matrix(P: PointSet, k: int) -> SolveResult:
     lam = 0.0
     if k < len(S):
         lam = multi_array_search(
-            *_matrix_rows(S), lambda v: decide_materialized(S, k, v).feasible)
+            *_matrix_rows(S),
+            lambda v: decide_materialized(S, k, v, verdict_only=True).feasible)
         lam += 0.0  # normalizes -0.0
     out = decide_materialized(S, k, lam)
     if not out.feasible:
         raise InternalInvariantViolation("selected radius is not feasible")
     return SolveResult(lam, out.centers, "matrix")
+
+
+def _row_greedy(xs: list, ys: list, k: int,
+                decide: Callable[[float], bool]) -> float:
+    """The smallest pairwise distance of the staircase (xs, ys) that
+    decide finds feasible, from the greedy at the unknown optimum lam*.
+
+    Row a holds d(a, j), j > a, nondecreasing in j.  An entry is below
+    lam* exactly when decide finds it infeasible, so the last entry
+    before row a's first feasible one is the greedy's reach from a at
+    every radius just below lam*: stepping there runs that greedy, which
+    cannot cover the staircase with k clusters.  At its first step that
+    differs from the greedy at lam* (one of its first 2k), the first
+    feasible entry of the row is lam* itself.  Every value probed is
+    memoized in a bracket, the largest infeasible and the smallest
+    feasible value seen, so lam* is the bracket's feasible end.
+    """
+    h = len(xs)
+    below, above = -math.inf, math.inf
+
+    def feasible(v: float) -> bool:
+        nonlocal below, above
+        if v <= below:
+            return False
+        if v >= above:
+            return True
+        if decide(v):
+            above = v
+            return True
+        below = v
+        return False
+
+    def step(a: int) -> int:
+        # Gallop a + 1, a + 3, a + 7, ... then bisect, as decision._reach.
+        ax, ay = xs[a], ys[a]
+        lo, hi, gallop = a, h, True  # infeasible at lo (or lo == a), not hi
+        while hi - lo > 1:
+            j = 2 * lo - a + 1 if gallop else (lo + hi) // 2
+            if j >= hi:
+                gallop = False
+                continue
+            dx = ax - xs[j]  # as dist_sq(S[a], S[j])
+            dy = ay - ys[j]
+            if feasible(dx * dx + dy * dy):
+                hi, gallop = j, False
+            else:
+                lo = j
+        return lo
+
+    i = 0
+    for _ in range(k):
+        i = step(step(i)) + 1
+        if i >= h:
+            break
+    if above == math.inf:
+        raise InternalInvariantViolation("no feasible candidate observed")
+    return above
+
+
+def solve_by_rows(P: PointSet, k: int) -> SolveResult:
+    """The materialized greedy at the unknown optimum, one staircase row
+    per step (_row_greedy), for k < h; 0 for k >= h.  A final decision
+    certifies the value and picks the centers."""
+    P.require_nonempty()
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    S = slow_skyline(P)
+    lam = 0.0
+    if k < len(S):
+        lam = _row_greedy(S.xs, S.ys, k, lambda v: decide_materialized(
+            S, k, v, verdict_only=True).feasible)
+    out = decide_materialized(S, k, lam)
+    if not out.feasible:
+        raise InternalInvariantViolation("selected radius is not feasible")
+    return SolveResult(lam, out.centers, "rows")
 
 
 def _suffix_rows(G: GroupedSkyline, p: Point):

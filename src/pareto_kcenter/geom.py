@@ -141,11 +141,14 @@ def lex_argmax(a: np.ndarray, b: np.ndarray,
     """Index of the largest pair (a[i], b[i]), over the i where `where`
     holds if it is given: the first one on exact ties, None if no i
     qualifies."""
-    rows = np.arange(len(a)) if where is None else np.flatnonzero(where)
-    if not len(rows):
+    rows = None if where is None else np.flatnonzero(where)
+    if rows is not None:
+        a, b = a[rows], b[rows]
+    if not len(a):
         return None
-    top = rows[a[rows] == a[rows].max()]
-    return int(top[np.argmax(b[top])])
+    top = np.flatnonzero(a == a.max())
+    i = int(top[np.argmax(b[top])])
+    return i if rows is None else int(rows[i])
 
 
 def extremes(P: PointSet) -> tuple[Point, Point]:

@@ -14,11 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 
+from . import DEFAULT_SEED, GENERATORS
 from .geom import Point, PointSet
-
-GENERATORS = ("uniform-square", "clustered", "staircase", "circle-quadrant")
-
-DEFAULT_SEED = 20240 + 817
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Algorithms for very small k: linear-time 1-center, farthest-first
 2-approximation over slabs, and a (1+eps)-approximation by a bounded
-binary search over a radius grid.
+binary search over a radius grid, with the materialized decision on the
+production skyline.
 
 The linear scans run on coordinate arrays (rows of a PointSet's ``xy``);
 Points are made only for the centers and the bisector candidates.
@@ -12,12 +13,12 @@ import math
 
 import numpy as np
 
-from .decision import decide_grouped
+from .decision import decide_materialized
 from .errors import DegenerateSpan, InternalInvariantViolation, InvalidEpsilon
 from .exact import SolveResult
 from .geom import Point, PointSet, dist_sq, extremes, lex_argmax
-from .grouped import build
 from .instrument import counters
+from .skyline import slow_skyline
 
 
 def _bisector_scan(xy: np.ndarray, p0: Point, q0: Point):
@@ -136,8 +137,9 @@ def check_epsilon(eps: float) -> None:
 
 def approx_solve(P: PointSet, k: int, eps: float) -> SolveResult:
     """(1+eps)-approximation: bracket the optimum with the farthest-first
-    radius, then binary search a grid of ~2/eps radii with the grouped
-    decision procedure.  Each grid radius is computed when probed."""
+    radius, then binary search a grid of ~2/eps radii with the
+    materialized decision on sky(P), which gives the grouped decision's
+    verdicts and centers.  Each grid radius is computed when probed."""
     check_epsilon(eps)
     P.require_nonempty()
     if k < 1:
@@ -155,17 +157,17 @@ def approx_solve(P: PointSet, k: int, eps: float) -> SolveResult:
         # Guard the top against sqrt rounding: psi2_sq itself is feasible.
         return max(r_sq, psi2_sq) if j == jmax else r_sq
 
-    kappa = min(len(P), max(1, math.ceil(k * k * math.log2(1.0 / eps) ** 2)))
-    G = build(P, kappa)
+    S = slow_skyline(P)
     lo, hi = 0, jmax
     while lo < hi:
         mid = (lo + hi) // 2
-        if decide_grouped(G, k, grid_sq(mid)).feasible:
+        if decide_materialized(S, k, grid_sq(mid),
+                               verdict_only=True).feasible:
             hi = mid
         else:
             lo = mid + 1
     lam_sq = grid_sq(lo)
-    out = decide_grouped(G, k, lam_sq)
+    out = decide_materialized(S, k, lam_sq)
     if not out.feasible:
         raise InternalInvariantViolation("selected grid radius is not feasible")
     return SolveResult(lam_sq, out.centers, tag)

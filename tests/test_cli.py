@@ -514,7 +514,7 @@ def test_every_solver_table_entry_keeps_its_guarantee(name, scale, raw, k):
     # solve's certificate holds: the decision is feasible at the radius
     # and, for an exact route, not one ulp below it.
     _certify(slow_skyline(P), k, res, exact)
-    if tag in ("matrix", "parametric"):
+    if tag in ("rows", "matrix", "parametric"):
         # The routes that certify with the greedy decision also agree on
         # the centers; one-center picks its own optimal center.
         ref = solver("matrix", [k])[0](P, k)
@@ -548,14 +548,15 @@ def test_solve_and_plot_compute_the_skyline_once(capsys, tmp_path,
                              "--out", str(tmp_path / "out.svg"))
         assert code == 0 and calls == [18]
     code, out, _ = run_cli(capsys, "solve", str(path), "--k", "2")
-    assert out.startswith("method=matrix\n")  # 2^4 >= h, though 2^4 < n
+    assert out.startswith("method=rows\n")
 
 
 @pytest.mark.parametrize("method, name, k, radius", [
     ("gonzalez", "gonzalez_2approx", 2, lambda r: r / 4),
     ("approx:0.1", "approx_solve", 2, lambda r: 0.0),
     ("matrix", "solve_via_matrix", 2, lambda r: math.nextafter(r, math.inf)),
-    ("auto", "solve_parametric", 1, lambda r: math.nextafter(r, math.inf)),
+    ("auto", "solve_by_rows", 1, lambda r: math.nextafter(r, math.inf)),
+    ("rows", "solve_by_rows", 2, lambda r: math.nextafter(r, math.inf)),
     ("one-center", "solve_one_center", 1, lambda r: 2 * r),
 ])
 def test_solve_refuses_an_uncertified_radius(capsys, monkeypatch, tmp_path,
@@ -589,19 +590,21 @@ def test_solve_refuses_an_uncertified_radius(capsys, monkeypatch, tmp_path,
 
 
 def test_auto_reaches_the_rebound_route(monkeypatch):
-    # Span tracing rebinds cli.solve_via_matrix and cli.solve_parametric;
-    # auto must call the name its rule picks as bound when it runs.
+    # Span tracing rebinds the package's names in cli; auto must call the
+    # row route's name as bound when it runs, at every (h, k), and never
+    # the matrix or the parametric route.
     calls = []
-    for name in ("solve_via_matrix", "solve_parametric"):
+    for name in ("solve_by_rows", "solve_via_matrix", "solve_parametric"):
         def record(P, k, name=name, route=getattr(cli, name)):
             calls.append(name)
             return route(P, k)
         monkeypatch.setattr(cli, name, record)
-    for n, want in ((16, "solve_via_matrix"), (17, "solve_parametric")):
+    for n in (1, 2, 16, 17, 200):
         P = scaled_pointset(1.0, [(i, n - 1 - i, 0, 0) for i in range(n)])
-        calls.clear()
-        solver("auto", [2])[0](P, 2)
-        assert calls == [want]
+        for k in {1, 2, n // 2 or 1, n - 1 or 1, n, n + 1}:
+            calls.clear()
+            assert solver("auto", [k])[0](P, k).algorithm == "rows"
+            assert calls == ["solve_by_rows"]
 
 
 def test_removed_options_are_refused(capsys, monkeypatch, stair4):

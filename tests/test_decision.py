@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pareto_kcenter.decision import decide_grouped, decide_materialized
+from pareto_kcenter.decision import (DecisionOutcome, decide_grouped,
+                                     decide_materialized)
 from pareto_kcenter.geom import Point, PointSet, dist_sq
 from pareto_kcenter.grouped import build
 from pareto_kcenter.instrument import counters
@@ -163,8 +164,15 @@ def test_galloping_equals_linear_scan_at_every_scale(scale, raw, k):
         radii |= {d, math.nextafter(d, -math.inf), math.nextafter(d, math.inf)}
     for lam_sq in sorted(radii):
         if lam_sq >= 0:
-            assert (decide_materialized(sky, k, lam_sq)
-                    == search_reference.linear_decide(sky, k, lam_sq))
+            want = search_reference.linear_decide(sky, k, lam_sq)
+            counters.reset()
+            assert decide_materialized(sky, k, lam_sq) == want
+            counted = counters.snapshot()
+            # The searches' call: the same verdict and counts, no centers.
+            counters.reset()
+            assert (decide_materialized(sky, k, lam_sq, verdict_only=True)
+                    == DecisionOutcome(want.feasible))
+            assert counters.snapshot() == counted
 
 
 def test_galloping_distance_bound():

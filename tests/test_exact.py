@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pareto_kcenter import exact
 from pareto_kcenter.cli import _digest, solver
@@ -12,8 +12,8 @@ from pareto_kcenter.decision import decide_grouped, decide_materialized
 from pareto_kcenter.errors import (InternalInvariantViolation, NotFound,
                                    RankOutOfRange)
 from pareto_kcenter.exact import (SortedDistanceMatrix, matrix_select,
-                                  multi_array_search, solve_parametric,
-                                  solve_via_matrix)
+                                  multi_array_search, solve_by_rows,
+                                  solve_parametric, solve_via_matrix)
 from pareto_kcenter.geom import PointSet, dist_sq
 from pareto_kcenter.grouped import build, next_relevant_point
 from pareto_kcenter.instances import InstanceSpec, generate
@@ -157,6 +157,83 @@ class TestSolveViaMatrix:
             assert solve_parametric(P, k).lambda_star_sq == want
 
 
+class TestSolveByRows:
+    def test_staircase4(self):
+        res = solve_by_rows(from_coords(STAIR4), 2)
+        assert (res.lambda_star_sq, res.algorithm) == (2.0, "rows")
+        assert res.centers == solve_via_matrix(from_coords(STAIR4), 2).centers
+
+    def test_k_at_least_h(self):
+        P = from_coords(STAIR4)
+        for k in (4, 5):
+            counters.reset()
+            res = solve_by_rows(P, k)
+            assert counters.get("decide_calls") == 1  # the certificate
+            assert res.lambda_star_sq == 0.0
+            assert res.centers == slow_skyline(P).pts
+
+    def test_squared_distance_underflow(self):
+        # Two skyline points whose squared distance underflows to 0: one
+        # center covers both, at k = 1 and at k >= h alike.
+        P = PointSet(np.array([(0.0, 0.0), (5e-324, -5e-324)]))
+        for k in (1, 2, 3):
+            res = solve_by_rows(P, k)
+            assert res.lambda_star_sq == 0.0 and len(res.centers) == 1
+            assert res.centers == solve_via_matrix(P, k).centers
+
+    def test_empty_input_rejected(self):
+        from pareto_kcenter.errors import EmptyInput
+        with pytest.raises(EmptyInput):
+            solve_by_rows(PointSet([]), 1)
+        with pytest.raises(ValueError):
+            solve_by_rows(from_coords(STAIR4), 0)
+
+    def test_infeasible_final_radius_raises(self, monkeypatch):
+        monkeypatch.setattr(exact, "_row_greedy", lambda xs, ys, k, decide: 0.0)
+        with pytest.raises(InternalInvariantViolation):
+            solve_by_rows(from_coords(STAIR4), 2)
+
+    def test_no_feasible_entry_raises(self):
+        S = sky_of(STAIR4)
+        with pytest.raises(InternalInvariantViolation):
+            exact._row_greedy(S.xs, S.ys, 2, lambda v: False)
+
+    def test_decisions_are_memoized_in_a_bracket(self):
+        # No value is decided twice, and none outside the bracket of the
+        # values decided before it.
+        P = generate(InstanceSpec("staircase", 500, seed=3))
+        S = slow_skyline(P)
+        for k in (1, 3, 40, 250, 498, 499):
+            seen = []
+
+            def decide(v):
+                below = [u for u, ok in seen if not ok]
+                above = [u for u, ok in seen if ok]
+                assert max(below, default=-1.0) < v < min(above,
+                                                          default=math.inf)
+                seen.append((v, decide_materialized(S, k, v).feasible))
+                return seen[-1][1]
+
+            lam = exact._row_greedy(S.xs, S.ys, k, decide)
+            assert lam == min(u for u, ok in seen if ok)
+            assert lam == solve_via_matrix(P, k).lambda_star_sq
+
+    def test_decision_calls_per_solve(self):
+        # The row route's decisions, the certificate included, stay within
+        # 4 log2(h) + 4 at every k, up to k = h - 1 (measured: 8-28 here,
+        # at most 3.4 log2(h)); the matrix route's search takes 11-25.
+        for P in (generate(InstanceSpec("staircase", 3000, seed=11)),
+                  generate(InstanceSpec("circle-quadrant", 3000, seed=12)),
+                  fixed_skyline_fill(300, 6000, seed=13)):
+            h = len(slow_skyline(P))
+            for k in (1, 2, 8, 64, h // 10, h // 2, h - 2, h - 1):
+                counters.reset()
+                res = solve_by_rows(P, k)
+                calls = counters.get("decide_calls")
+                assert calls <= 4 * math.log2(h) + 4, (h, k, calls)
+                assert res.lambda_star_sq == solve_via_matrix(P, k).lambda_star_sq
+
+
 def search_lists(arrays, probe):
     """multi_array_search over sorted lists, packed as the rows of a
     matrix padded with +inf past each list's end."""
@@ -223,18 +300,19 @@ class TestSolveParametric:
         assert res.lambda_star_sq == 0.0
 
     def test_only_auto_chooses_the_route(self):
-        # auto's rule at its edge k^4 == n: 16 points take the matrix
-        # route, 17 the parametric one, with the same digest as both
-        # routes; solve_parametric runs its own route at every k.
-        for n, tag in ((16, "matrix"), (17, "parametric")):
+        # auto takes the row route, with the same digest as all three
+        # routes; each solver runs its own route at every k.
+        for n in (16, 17):
             P = from_coords([(i, n - 1 - i) for i in range(n)])
             res = solver("auto", [2])[0](P, 2)
-            assert res.algorithm == tag
+            assert res.algorithm == "rows"
             assert len({_digest(r.centers, r.lambda_star_sq) for r in
-                        (res, solve_via_matrix(P, 2), solve_parametric(P, 2))}
-                       ) == 1
+                        (res, solve_via_matrix(P, 2), solve_parametric(P, 2),
+                         solve_by_rows(P, 2))}) == 1
             for k in range(1, n + 2):
                 assert solve_parametric(P, k).algorithm == "parametric"
+                assert solve_via_matrix(P, k).algorithm == "matrix"
+                assert solve_by_rows(P, k).algorithm == "rows"
 
     def test_agrees_with_matrix_and_oracle(self, rng):
         for _ in range(80):
@@ -316,6 +394,30 @@ def test_parametric_route_equals_oracle_for_every_k(scale, raw):
         assert res.algorithm == "parametric"
         assert res.lambda_star_sq.hex() == brute_opt(P, k).hex()
         assert brute_psi_sq(sky, res.centers) == res.lambda_star_sq
+
+
+# Ties in x and in y, a duplicate and a one-ulp neighbour.
+TIED_RAW = [(0, 3, 0, 0), (0, 2, 0, 0), (1, 3, 0, 0), (1, 3, 1, 0),
+            (2, 2, 0, 0), (2, 1, 0, 0), (3, 1, 0, 0), (3, 0, 0, 0),
+            (3, 0, 0, 0), (5, -1, 0, 0)]
+
+
+@pytest.mark.parametrize("scale", SCALE_VALUES)
+@settings(max_examples=25, deadline=None)
+@given(raw=RAW_POINTS)
+# At 1e-170 the two points' squared distance underflows to 0.
+@example(raw=[(0, 1, 0, 0), (1, 0, 0, 0)])
+@example(raw=TIED_RAW)
+def test_row_route_equals_oracle_for_every_k(scale, raw):
+    # k runs from 1 through h - 1 and h to n + 1.
+    P = scaled_pointset(scale, raw)
+    for k in range(1, len(P) + 2):
+        res = solve_by_rows(P, k)
+        ref = solve_via_matrix(P, k)
+        assert res.algorithm == "rows"
+        assert res.lambda_star_sq.hex() == brute_opt(P, k).hex()
+        assert res.lambda_star_sq.hex() == ref.lambda_star_sq.hex()
+        assert res.centers == ref.centers
 
 
 @settings(max_examples=120, deadline=None)

@@ -272,16 +272,35 @@ def test_file_that_grows_while_read_is_refused(tmp_path):
         (float(x).hex(), float(x + 1).hex()) for x in (1, 3, 5)]
 
 
-@pytest.mark.parametrize("args", [["-m", "pareto_kcenter", "--version"],
-                                  ["-c", "import pareto_kcenter.cli"]])
-def test_start_up_leaves_orjson_unimported(args):
+def imported_by(*args) -> set[str]:
+    """The modules a fresh interpreter imports to run args."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           env=env, check=True, capture_output=True, text=True)
-    imported = {line.rsplit("|", 1)[-1].strip()
-                for line in proc.stderr.splitlines()}
+    return {line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()}
+
+
+@pytest.mark.parametrize("args", [["-m", "pareto_kcenter", "--version"],
+                                  ["-c", "import pareto_kcenter.cli"]])
+def test_start_up_leaves_orjson_unimported(args):
+    # Nor anything else that only some commands use: the digest's
+    # hashlib (and OpenSSL), --json's json, gen's and bench's generators
+    # and plot's SVG writer.
+    imported = imported_by(*args)
     assert "pareto_kcenter.pointio" in imported
-    assert "orjson" not in imported
+    assert imported.isdisjoint({"orjson", "hashlib", "json",
+                                "pareto_kcenter.instances",
+                                "pareto_kcenter.svgplot"})
+
+
+def test_decide_leaves_hashlib_unimported(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_text("0 1\n1 0\n")
+    imported = imported_by("-m", "pareto_kcenter", "decide", str(path),
+                           "--k", "1", "--lam", "2")
+    assert "orjson" in imported  # the block reader ran
+    assert "hashlib" not in imported
 
 
 def test_plain_file_skips_parse_points(tmp_path, monkeypatch):
