@@ -10,33 +10,42 @@ linear/near-linear routes for very small k.  The test suite checks
 every route against exhaustive ground truth kept with the tests.
 """
 
-from .decision import decide_grouped, decide_materialized
-from .exact import (SortedDistanceMatrix, matrix_select, solve_by_rows,
-                    solve_parametric, solve_via_matrix)
-from .geom import dist_sq
-from .grouped import build
-from .skyline import skyline_bounded, skyline_optimal, slow_skyline
-from .smallk import approx_solve, gonzalez_2approx, solve_one_center
-
 __version__ = "0.1.0"
 
 # The seeded generators' names and default seed, for the CLI's parser.
 GENERATORS = ("uniform-square", "clustered", "staircase", "circle-quadrant")
 DEFAULT_SEED = 20240 + 817
 
+# The module that defines each public name.  Importing the package loads
+# none of them, nor numpy: each name is looked up in its module when it
+# is used (PEP 562), and never cached here, so that a name rebound in its
+# module (as span tracing does) reads the same through the package.
+_HOME = {
+    "InstanceSpec": "instances", "generate": "instances",
+    "SortedDistanceMatrix": "exact", "matrix_select": "exact",
+    "solve_by_rows": "exact", "solve_parametric": "exact",
+    "solve_via_matrix": "exact",
+    "approx_solve": "smallk", "gonzalez_2approx": "smallk",
+    "solve_one_center": "smallk",
+    "build": "grouped",
+    "decide_grouped": "decision", "decide_materialized": "decision",
+    "dist_sq": "geom",
+    "skyline_bounded": "skyline", "skyline_optimal": "skyline",
+    "slow_skyline": "skyline",
+}
+
+__all__ = sorted(_HOME)
+
 
 def __getattr__(name):
-    # The generators load on first use, not at start-up (PEP 562).
-    if name in ("InstanceSpec", "generate"):
-        from . import instances
-        return getattr(instances, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{home}"), name)
 
 
-__all__ = [
-    "InstanceSpec", "SortedDistanceMatrix", "approx_solve", "build",
-    "decide_grouped", "decide_materialized", "dist_sq", "generate",
-    "gonzalez_2approx", "matrix_select", "skyline_bounded", "skyline_optimal",
-    "slow_skyline", "solve_by_rows", "solve_one_center", "solve_parametric",
-    "solve_via_matrix",
-]
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -29,6 +29,8 @@ from .skyline import skyline_bounded, skyline_optimal, slow_skyline
 from .smallk import (approx_solve, check_epsilon, gonzalez_2approx,
                      solve_one_center)
 
+# The package's __init__ loads no layer; every layer a command can run
+# loads here, with numpy (after __main__ has sized numpy's BLAS pool).
 # hashlib, json, .instances and .svgplot are imported by the functions
 # that use them, so start-up and the decide and skyline runs load none.
 
@@ -452,7 +454,3 @@ def main(argv=None) -> int:
     except (InputError, EmptyInput, InvalidEpsilon) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -83,7 +83,10 @@ class PointSet:
     the partitioned algorithms).
 
     Built from Points or from an (m, 2) float array of finite
-    coordinates.  ``xy`` holds the kept coordinates as a read-only float
+    coordinates whose squared extent (max x - min x)^2 +
+    (max y - min y)^2 is finite: a set where it overflows is refused,
+    since no squared distance between its points could be computed.
+    ``xy`` holds the kept coordinates as a read-only float
     array, the set's own copy: it never aliases or freezes a caller's
     array.  The algorithms work on it and make Points only for their
     results.  ``order`` is the read-only permutation of xy's rows by
@@ -106,6 +109,12 @@ class PointSet:
             given = list(points)
             xy = np.array([(p.x, p.y) for p in given],
                           dtype=np.float64).reshape(-1, 2)
+        if len(xy):
+            dx = float(xy[:, 0].max()) - float(xy[:, 0].min())
+            dy = float(xy[:, 1].max()) - float(xy[:, 1].min())
+            if not math.isfinite(dx * dx + dy * dy):
+                raise ValueError("coordinate range too wide: the squared "
+                                 "extent overflows a 64-bit float")
         keep, order = first_occurrences(xy)
         if keep is not None:
             xy = xy[keep]

@@ -25,7 +25,6 @@ can be read again.
 from __future__ import annotations
 
 import io
-import math
 from typing import BinaryIO, Iterable, TextIO
 
 import numpy as np
@@ -157,14 +156,10 @@ def read_point_file(path: str) -> PointSet:
                 xy = parse_points(io.TextIOWrapper(fh, encoding="utf-8"))
             except UnicodeDecodeError as exc:
                 raise PointFileError(f"not UTF-8 text: {exc.reason}") from None
-    P = PointSet(xy)
-    if len(P):
-        dx = float(P.xy[:, 0].max()) - float(P.xy[:, 0].min())
-        dy = float(P.xy[:, 1].max()) - float(P.xy[:, 1].min())
-        if not math.isfinite(dx * dx + dy * dy):
-            raise PointFileError("coordinate range too wide: the squared "
-                                 "extent overflows a 64-bit float")
-    return P
+    try:
+        return PointSet(xy)
+    except ValueError as exc:  # finite coordinates, so a too-wide extent
+        raise PointFileError(str(exc)) from None
 
 
 def write_points(points: Iterable[Point], out: TextIO) -> None:

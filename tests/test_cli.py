@@ -7,6 +7,7 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,7 +15,7 @@ from pareto_kcenter import cli
 from pareto_kcenter.cli import SOLVERS, _certify, _digest, main, solver
 from pareto_kcenter.errors import InternalInvariantViolation
 from pareto_kcenter.exact import SolveResult
-from pareto_kcenter.geom import PointSet
+from pareto_kcenter.geom import Point, PointSet
 from pareto_kcenter.pointio import read_point_file, write_points
 from pareto_kcenter.skyline import slow_skyline
 
@@ -520,6 +521,18 @@ def test_every_solver_table_entry_keeps_its_guarantee(name, scale, raw, k):
         ref = solver("matrix", [k])[0](P, k)
         assert _digest(centers, lam_sq) == _digest(ref.centers,
                                                    ref.lambda_star_sq)
+
+
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_every_solver_table_entry_is_refused_an_overflowing_extent(name):
+    # Squared distances between these points overflow to inf, where no
+    # route's radius means anything.  PointSet refuses the set before any
+    # route runs, as the reader refuses such a file.
+    wide = [(0.0, 1e300), (1e300, 0.0), (5e299, 5e299)]
+    run, _ = solver(name.replace("<eps>", str(TABLE_EPS)), [1])
+    for points in (np.array(wide), [Point(x, y) for x, y in wide]):
+        with pytest.raises(ValueError, match="squared extent overflows"):
+            run(PointSet(points), 1)
 
 
 def test_solve_and_plot_compute_the_skyline_once(capsys, tmp_path,

@@ -303,6 +303,72 @@ def test_decide_leaves_hashlib_unimported(tmp_path):
     assert "hashlib" not in imported
 
 
+def test_package_import_leaves_numpy_unimported():
+    imported = imported_by("-c", "import pareto_kcenter")
+    assert "pareto_kcenter" in imported
+    assert "numpy" not in imported
+    assert not any(name.startswith("pareto_kcenter.") for name in imported)
+
+
+def test_every_public_name_is_its_modules_object(monkeypatch):
+    import pareto_kcenter
+    from pareto_kcenter import skyline
+
+    for name in pareto_kcenter.__all__:
+        obj = getattr(pareto_kcenter, name)
+        assert obj.__module__.startswith("pareto_kcenter.")
+        assert obj is getattr(sys.modules[obj.__module__], name)
+        assert name in dir(pareto_kcenter)
+    # Looked up on each use, never cached: a rebound name (span tracing
+    # rebinds them) reads the same through the package.
+    monkeypatch.setattr(skyline, "slow_skyline", lambda P: None)
+    assert pareto_kcenter.slow_skyline is skyline.slow_skyline
+
+
+def test_unknown_package_name_raises_attribute_error():
+    import pareto_kcenter
+
+    for name in ("no_such_name", "PointSet"):  # PointSet is not public
+        with pytest.raises(AttributeError, match=name):
+            getattr(pareto_kcenter, name)
+
+
+# Runs the CLI as `python -m` does, then prints the process's thread
+# count and OPENBLAS_NUM_THREADS.
+RUN_CLI_AS_MAIN = """
+import os, runpy, sys
+try:
+    runpy.run_module("pareto_kcenter", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+with open("/proc/self/status") as fh:
+    threads = next(line.split()[1] for line in fh
+                   if line.startswith("Threads:"))
+print(threads, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_run_starts_no_blas_thread_pool(tmp_path, preset):
+    path = tmp_path / "in.txt"
+    path.write_text("0 3\n1 2\n2 1\n3 0\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", RUN_CLI_AS_MAIN, "solve",
+                           str(path), "--k", "2"],
+                          env=env, check=True, capture_output=True, text=True)
+    assert proc.stdout.startswith("method=rows\n")
+    threads, setting = proc.stdout.splitlines()[-1].split()
+    if preset is None:
+        assert (threads, setting) == ("1", "1")
+    else:
+        assert setting == preset  # the caller's setting is kept
+
+
 def test_plain_file_skips_parse_points(tmp_path, monkeypatch):
     path = tmp_path / "in.txt"
     path.write_text("0.5 -0\n3 4\n0.5 0\n")
