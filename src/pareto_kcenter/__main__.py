@@ -8,10 +8,15 @@ Two start-up costs that no command needs are skipped:
   `import numpy`.  The pool is sized from the environment when numpy is
   imported, so the default of one thread is set before `.cli` loads; a
   value the caller set is kept.
-* the collector's traversals of the import heap.  `gc.freeze()` after
-  the imports moves every object they made to a generation that no
-  collection visits, the interpreter's final one included.  Garbage the
-  command makes is still collected and finalized.
+* the collector's traversals of the import heap.  The cyclic collector
+  is paused while `.cli` and numpy load, so the dozens of collections
+  their allocations would trigger do not run; `gc.freeze()` then moves
+  every object the imports made to a generation that no collection
+  visits, the interpreter's final one included, and the collector's
+  earlier state is restored, also when an import fails.  No collection
+  runs before the freeze, so the few unreachable objects the imports
+  left stay frozen.  Garbage the command makes is still collected and
+  finalized.
 """
 
 import gc
@@ -21,9 +26,14 @@ import sys
 
 def run() -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from .cli import main
-
-    gc.freeze()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        from .cli import main
+    finally:
+        gc.freeze()
+        if collecting:
+            gc.enable()
     return main()
 
 

@@ -11,7 +11,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,7 +20,7 @@ from .decision import decide_grouped, decide_materialized
 from .errors import EmptyInput, InternalInvariantViolation, InvalidEpsilon
 from .exact import (SolveResult, solve_by_rows, solve_parametric,
                     solve_via_matrix)
-from .geom import PointSet, SkylineArray
+from .geom import PointSet, Record, SkylineArray
 from .grouped import build
 from .instrument import counters
 from .pointio import PointFileError, fmt_coord, read_point_file, write_points
@@ -68,18 +67,16 @@ def _digest(centers, lambda_star_sq: float) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(Record):
     """One solver run: inputs, result, timing, and counters.  The digest
     hashes the sorted center coordinates plus the exact squared radius,
     so identical results collide and any difference shows."""
 
-    result: SolveResult
-    n: int
-    h: int
-    k: int
-    time_ms: float
-    counters: dict
+    __slots__ = ("result", "n", "h", "k", "time_ms", "counters")
+
+    def __init__(self, result: SolveResult, n: int, h: int, k: int,
+                 time_ms: float, counters: dict):
+        self._fill(result, n, h, k, time_ms, counters)
 
     @property
     def digest(self) -> str:
@@ -116,17 +113,18 @@ class RunReport:
         }
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(Record):
     """An entry of a name table.  ``run`` looks the package function up
     in this module when called, so a rebound name (span tracing rebinds
     them) is honoured.  A key "name:<arg>" takes a parameter, which
-    ``parse`` reads from the text after the colon (None if absent)."""
+    ``parse`` reads from the text after the colon (None if absent).
+    ``guarantee`` is a solver's radius against opt(P, k)."""
 
-    run: Callable
-    guarantee: str = "exact"  # a solver's radius against opt(P, k)
-    parse: Callable | None = None
-    max_k: int | None = None
+    __slots__ = ("run", "guarantee", "parse", "max_k")
+
+    def __init__(self, run: Callable, guarantee: str = "exact",
+                 parse: Callable | None = None, max_k: int | None = None):
+        self._fill(run, guarantee, parse, max_k)
 
 
 def _lookup(table: dict, spec: str, what: str):

@@ -10,21 +10,20 @@ never materializes anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EmptyInput
-from .geom import Point, SkylineArray
+from .geom import Point, Record, SkylineArray
 from .grouped import GroupedSkyline, next_on_skyline, next_relevant_point
 from .instrument import counters
 
 Cluster = tuple[Point, Point, Point]  # (leftmost, center, rightmost)
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionOutcome:
-    feasible: bool
-    centers: tuple[Point, ...] = ()
-    clusters: tuple[Cluster, ...] = ()
+class DecisionOutcome(Record):
+    __slots__ = ("feasible", "centers", "clusters")
+
+    def __init__(self, feasible: bool, centers: tuple[Point, ...] = (),
+                 clusters: tuple[Cluster, ...] = ()):
+        self._fill(feasible, centers, clusters)
 
 
 INCOMPLETE = DecisionOutcome(False)

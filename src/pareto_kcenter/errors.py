@@ -21,5 +21,9 @@ class NotFound(ValueError):
     """Monotone search over sorted arrays found no qualifying value."""
 
 
+class FrozenRecord(AttributeError):
+    """A record's attributes cannot be assigned or deleted."""
+
+
 class InternalInvariantViolation(AssertionError):
     """A structural invariant the algorithms rely on was broken."""

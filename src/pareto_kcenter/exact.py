@@ -33,13 +33,12 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import InternalInvariantViolation, NotFound, RankOutOfRange
-from .geom import Point, PointSet, SkylineArray, dist_sq
+from .geom import Point, PointSet, Record, SkylineArray, dist_sq
 from .grouped import (GroupedSkyline, build, first_false, next_on_skyline,
                       next_relevant_point)
 from .decision import decide_grouped, decide_materialized
@@ -47,11 +46,12 @@ from .instrument import counters
 from .skyline import slow_skyline
 
 
-@dataclass(frozen=True, slots=True)
-class SolveResult:
-    lambda_star_sq: float
-    centers: tuple[Point, ...]
-    algorithm: str
+class SolveResult(Record):
+    __slots__ = ("lambda_star_sq", "centers", "algorithm")
+
+    def __init__(self, lambda_star_sq: float, centers: tuple[Point, ...],
+                 algorithm: str):
+        self._fill(lambda_star_sq, centers, algorithm)
 
     @property
     def lambda_star(self) -> float:

@@ -1,4 +1,5 @@
-"""Planar points, the deduplicated point set, tie-breaks and staircases.
+"""Planar points and the base of the package's immutable records, the
+deduplicated point set, tie-breaks and staircases.
 
 Conventions used throughout the package:
 
@@ -13,23 +14,78 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from math import isfinite
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import EmptyInput
+from .errors import EmptyInput, FrozenRecord
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
-    x: float
-    y: float
+class Record:
+    """Base of the package's immutable records.  A subclass names its
+    fields, in order, as its ``__slots__`` and sets them in ``__init__``
+    with ``_fill``; after that, assigning or deleting any attribute
+    raises FrozenRecord.  Two records are equal when they are of the
+    same class with equal fields, hash by their fields, and print as
+    ``Name(field=value, ...)``."""
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinate: ({self.x}, {self.y})")
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise FrozenRecord(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise FrozenRecord(f"cannot delete {type(self).__name__}.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # for copy and pickle, which would setattr
+        return type(self), self._fields()
+
+
+class Point(Record):
+    """A finite planar point.  The hottest record: its fields are set
+    through their slot descriptors and compared without tuples."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        if not (isfinite(x) and isfinite(y)):
+            raise ValueError(f"non-finite coordinate: ({x}, {y})")
+        _set_x(self, x)
+        _set_y(self, y)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.x == other.x and self.y == other.y
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+
+_set_x, _set_y = Point.x.__set__, Point.y.__set__
 
 
 def dist_sq(p: Point, q: Point) -> float:
@@ -112,7 +168,7 @@ class PointSet:
         if len(xy):
             dx = float(xy[:, 0].max()) - float(xy[:, 0].min())
             dy = float(xy[:, 1].max()) - float(xy[:, 1].min())
-            if not math.isfinite(dx * dx + dy * dy):
+            if not isfinite(dx * dx + dy * dy):
                 raise ValueError("coordinate range too wide: the squared "
                                  "extent overflows a 64-bit float")
         keep, order = first_occurrences(xy)

@@ -20,13 +20,12 @@ GroupedSkyline and walks it with the next-point pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import InternalInvariantViolation
-from .geom import Point, PointSet, extremes
+from .geom import Point, PointSet, Record, extremes
 from .instrument import counters, sort_charge
 
 SEARCHES = "binary_searches"
@@ -95,9 +94,9 @@ def first_false(test: Callable, a, b):
     return a, probes
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class GroupedSkyline:
-    """Immutable; all queries are pure.  Made only by build.
+class GroupedSkyline(Record):
+    """Immutable; all queries are pure.  Made only by build.  Equal only
+    to itself.
 
     Group g's skyline is (xs[i], ys[i]) for starts[g] <= i < groups[g],
     by increasing x (so decreasing y): ``groups`` holds the end offset of
@@ -108,14 +107,15 @@ class GroupedSkyline:
     charge of one x-keyed pass over the groups.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    starts: np.ndarray
-    groups: np.ndarray
-    lists: tuple[list, list, list, list] | None
-    pass_probes: int
-    p0: Point
-    q0: Point
+    __slots__ = ("xs", "ys", "starts", "groups", "lists", "pass_probes",
+                 "p0", "q0")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, starts: np.ndarray,
+                 groups: np.ndarray, lists: tuple[list, list, list, list]
+                 | None, pass_probes: int, p0: Point, q0: Point):
+        self._fill(xs, ys, starts, groups, lists, pass_probes, p0, q0)
 
     @property
     def t(self) -> int:

@@ -12,23 +12,20 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from . import DEFAULT_SEED, GENERATORS
-from .geom import Point, PointSet
+from .geom import Point, PointSet, Record
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    generator: str
-    n: int
-    seed: int = DEFAULT_SEED
+class InstanceSpec(Record):
+    __slots__ = ("generator", "n", "seed")
 
-    def __post_init__(self):
-        if self.generator not in GENERATORS:
-            raise ValueError(f"unknown generator {self.generator!r}")
-        if self.n < 1:
+    def __init__(self, generator: str, n: int, seed: int = DEFAULT_SEED):
+        if generator not in GENERATORS:
+            raise ValueError(f"unknown generator {generator!r}")
+        if n < 1:
             raise ValueError("n must be >= 1")
+        self._fill(generator, n, seed)
 
 
 def generate(spec: InstanceSpec) -> PointSet:

@@ -9,21 +9,22 @@ walk ends when no group has a point right of the last one found.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .geom import Point, PointSet, SkylineArray
+from .geom import Point, PointSet, Record, SkylineArray
 from .grouped import CMP, build, leftmost_right_of
 from .instrument import counters, sort_charge
 
 
-@dataclass(frozen=True, slots=True)
-class BoundedResult:
+class BoundedResult(Record):
     """Either the complete skyline or a signal that it exceeded the guess."""
 
-    skyline: Optional[SkylineArray]
+    __slots__ = ("skyline",)
+
+    def __init__(self, skyline: Optional[SkylineArray]):
+        self._fill(skyline)
 
     @property
     def complete(self) -> bool:

@@ -1,16 +1,23 @@
+import copy
+import pickle
 import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pareto_kcenter.exact import solve_parametric, solve_via_matrix
+from pareto_kcenter import DEFAULT_SEED
+from pareto_kcenter.cli import Route, RunReport
+from pareto_kcenter.decision import DecisionOutcome
+from pareto_kcenter.errors import FrozenRecord
+from pareto_kcenter.exact import SolveResult, solve_parametric, solve_via_matrix
 from pareto_kcenter.geom import Point, PointSet, SkylineArray, dist_sq, extremes
 from pareto_kcenter.grouped import build, next_relevant_point
-from pareto_kcenter.skyline import slow_skyline
+from pareto_kcenter.instances import InstanceSpec
+from pareto_kcenter.skyline import BoundedResult, slow_skyline
 from pareto_kcenter.smallk import approx_solve, gonzalez_2approx
 
-from conftest import (RAW_POINTS, SCALES, from_coords, random_pointset,
+from conftest import (RAW_POINTS, SCALES, STAIR4, from_coords, random_pointset,
                       scaled_points, validate_staircase, x_tied_rows)
 from dedup_reference import first_occurrences as reference_dedup
 from oracle import brute_skyline
@@ -153,6 +160,74 @@ class TestSharedOrder:
     def test_empty_set_has_empty_order(self):
         assert len(PointSet([]).order) == 0
         assert len(PointSet(np.empty((0, 2))).order) == 0
+
+
+def records():
+    """One instance of each of the package's records."""
+    p, q = Point(0.0, 1.0), Point(1.0, 0.0)
+    result = SolveResult(0.5, (p,), "rows")
+    return [p, DecisionOutcome(True, (p,), ((p, p, q),)), result,
+            build(from_coords(STAIR4), 3), BoundedResult(SkylineArray([p, q])),
+            RunReport(result, 2, 2, 1, 0.25, {"decide_calls": 1}),
+            Route(len, "factor 2", max_k=1), InstanceSpec("staircase", 4)]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
+    def test_refuses_every_assignment_and_deletion(self, record):
+        assert issubclass(FrozenRecord, AttributeError)
+        before = repr(record)
+        for name in (record.__slots__[0], "not_a_field"):
+            with pytest.raises(FrozenRecord):
+                setattr(record, name, None)
+            with pytest.raises(FrozenRecord):
+                delattr(record, name)
+        assert repr(record) == before
+
+    @pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
+    def test_equality_and_hash_by_fields(self, record):
+        twin = type(record)(*(getattr(record, f) for f in record.__slots__))
+        if type(record).__name__ == "GroupedSkyline":  # equal only to itself
+            assert twin != record and hash(twin) != hash(record)
+        else:
+            assert twin == record and twin is not record
+            # A dict or a SkylineArray field is unhashable, and so is its
+            # record, as it was as a dataclass.
+            if type(record) not in (RunReport, BoundedResult):
+                assert hash(twin) == hash(record)
+        assert record == record and record != object()
+
+    def test_point_repr_hash_and_validation(self):
+        p = Point(1.0, -2.5)
+        assert repr(p) == "Point(x=1.0, y=-2.5)"
+        assert hash(p) == hash((1.0, -2.5))  # as the dataclass hashed it
+        assert p == Point(1, -2.5) and p != Point(1.0, 2.5)
+        assert p != (1.0, -2.5)
+        with pytest.raises(ValueError,
+                           match=re.escape("non-finite coordinate: (1.0, nan)")):
+            Point(1.0, float("nan"))
+        with pytest.raises(TypeError):
+            Point(1.0)
+        assert Point(y=2.0, x=1.0) == Point(1.0, 2.0)
+
+    def test_defaults_and_validation_are_kept(self):
+        assert DecisionOutcome(False) == DecisionOutcome(False, (), ())
+        assert Route(len) == Route(len, "exact", None, None)
+        assert InstanceSpec("staircase", 4) == InstanceSpec(
+            "staircase", 4, DEFAULT_SEED)
+        with pytest.raises(ValueError, match="unknown generator"):
+            InstanceSpec("spiral", 4)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            InstanceSpec("staircase", 0)
+
+    @pytest.mark.parametrize("record", [Point(0.5, 2.0),
+                                        SolveResult(0.5, (Point(0, 1),), "rows"),
+                                        InstanceSpec("circle-quadrant", 7, 3)],
+                             ids=lambda r: type(r).__name__)
+    def test_copy_and_pickle(self, record):
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert twin == record and type(twin) is type(record)
 
 
 class TestSkylineArray:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -9,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import grouped_reference as ref
 from pareto_kcenter import grouped
-from pareto_kcenter.errors import EmptyInput
+from pareto_kcenter.errors import EmptyInput, FrozenRecord
 from pareto_kcenter.geom import Point, PointSet, dist_sq
 from pareto_kcenter.grouped import (LOCKSTEP_ROWS, build, first_false,
                                     next_on_skyline, next_relevant_point,
@@ -146,9 +145,10 @@ class TestBuild:
     def test_structure_is_frozen(self):
         G = build(from_coords(STAIR4), 3)
         assert G.t == len(G.groups) == 2
-        for field in dataclasses.fields(G):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(G, field.name, getattr(G, field.name))
+        assert len(G.__slots__) == 8
+        for name in G.__slots__:
+            with pytest.raises(FrozenRecord):
+                setattr(G, name, getattr(G, name))
 
     @pytest.mark.parametrize("t", [2, LOCKSTEP_ROWS])
     def test_columns_are_read_only(self, t):

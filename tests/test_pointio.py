@@ -286,12 +286,23 @@ def imported_by(*args) -> set[str]:
 def test_start_up_leaves_orjson_unimported(args):
     # Nor anything else that only some commands use: the digest's
     # hashlib (and OpenSSL), --json's json, gen's and bench's generators
-    # and plot's SVG writer.
+    # and plot's SVG writer; nor dataclasses (and its copy), which no
+    # record needs.
     imported = imported_by(*args)
     assert "pareto_kcenter.pointio" in imported
     assert imported.isdisjoint({"orjson", "hashlib", "json",
                                 "pareto_kcenter.instances",
-                                "pareto_kcenter.svgplot"})
+                                "pareto_kcenter.svgplot",
+                                "dataclasses", "copy"})
+
+
+def test_solve_leaves_dataclasses_unimported(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_text("0 3\n1 2\n2 1\n3 0\n")
+    imported = imported_by("-m", "pareto_kcenter", "solve", str(path),
+                           "--k", "2", "--json")
+    assert {"orjson", "hashlib", "json"} <= imported  # the whole run ran
+    assert imported.isdisjoint({"dataclasses", "copy"})
 
 
 def test_decide_leaves_hashlib_unimported(tmp_path):
@@ -333,40 +344,62 @@ def test_unknown_package_name_raises_attribute_error():
             getattr(pareto_kcenter, name)
 
 
-# Runs the CLI as `python -m` does, then prints the process's thread
-# count and OPENBLAS_NUM_THREADS.
+# Runs the CLI as `python -m` does, with the cyclic collector on or, if
+# the first argument is "gc-off", off.  Then prints the process's thread
+# count (or "-" without /proc), OPENBLAS_NUM_THREADS, whether the
+# collector is on and how many objects are frozen.
 RUN_CLI_AS_MAIN = """
-import os, runpy, sys
+import gc, os, runpy, sys
+if sys.argv.pop(1) == "gc-off":
+    gc.disable()
 try:
     runpy.run_module("pareto_kcenter", run_name="__main__")
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-with open("/proc/self/status") as fh:
-    threads = next(line.split()[1] for line in fh
-                   if line.startswith("Threads:"))
-print(threads, os.environ.get("OPENBLAS_NUM_THREADS"))
+threads = "-"
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as fh:
+        threads = next(line.split()[1] for line in fh
+                       if line.startswith("Threads:"))
+print(threads, os.environ.get("OPENBLAS_NUM_THREADS"), gc.isenabled(),
+      gc.get_freeze_count())
 """
+
+
+def run_cli_as_main(tmp_path, collector, blas_threads=None):
+    """The last line RUN_CLI_AS_MAIN prints after a solve, split; the
+    process gets OPENBLAS_NUM_THREADS only if blas_threads is given."""
+    path = tmp_path / "in.txt"
+    path.write_text("0 3\n1 2\n2 1\n3 0\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", RUN_CLI_AS_MAIN, collector,
+                           "solve", str(path), "--k", "2"],
+                          env=env, check=True, capture_output=True, text=True)
+    assert proc.stdout.startswith("method=rows\n")
+    return proc.stdout.splitlines()[-1].split()
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="needs /proc")
 @pytest.mark.parametrize("preset", [None, "2"])
 def test_cli_run_starts_no_blas_thread_pool(tmp_path, preset):
-    path = tmp_path / "in.txt"
-    path.write_text("0 3\n1 2\n2 1\n3 0\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    proc = subprocess.run([sys.executable, "-c", RUN_CLI_AS_MAIN, "solve",
-                           str(path), "--k", "2"],
-                          env=env, check=True, capture_output=True, text=True)
-    assert proc.stdout.startswith("method=rows\n")
-    threads, setting = proc.stdout.splitlines()[-1].split()
+    threads, setting, _, _ = run_cli_as_main(tmp_path, "gc-on", preset)
     if preset is None:
         assert (threads, setting) == ("1", "1")
     else:
         assert setting == preset  # the caller's setting is kept
+
+
+@pytest.mark.parametrize("collector", ["gc-on", "gc-off"])
+def test_cli_run_restores_the_collector_and_freezes_the_imports(tmp_path,
+                                                                 collector):
+    # The collector is paused only while the CLI's modules load.
+    _, _, enabled, frozen = run_cli_as_main(tmp_path, collector)
+    assert enabled == str(collector == "gc-on")
+    assert int(frozen) > 0
 
 
 def test_plain_file_skips_parse_points(tmp_path, monkeypatch):
