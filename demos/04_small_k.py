@@ -1,19 +1,21 @@
-"""Very small k: linear-time 1-center, the O(kn) farthest-first
-2-approximation, and the (1+eps)-approximation built on top of it.
+"""Very small k: the 1-center and the farthest-first 2-approximation,
+both on the skyline, where one bisection finds each bisector, and the
+(1+eps)-approximation built on top of them.
 """
 
 from pareto_kcenter import (InstanceSpec, approx_solve, generate,
-                            gonzalez_2approx, solve_one_center,
+                            gonzalez_2approx, slow_skyline, solve_one_center,
                             solve_via_matrix)
 from pareto_kcenter.instrument import counters
 
 P = generate(InstanceSpec("clustered", n=30000, seed=3))
+h = len(slow_skyline(P))
 
 counters.reset()
 res = solve_one_center(P)
 print(f"1-center: lambda* = {res.lambda_star:.3f} using "
       f"{counters.get('dist_evals'):,} distance evaluations "
-      f"(n = {len(P):,}, bound 3n = {3 * len(P):,})")
+      f"(n = {len(P):,}, h = {h}: one bisection over the skyline)")
 assert res.lambda_star_sq == solve_via_matrix(P, 1).lambda_star_sq
 
 k = 5

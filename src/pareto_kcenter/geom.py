@@ -1,12 +1,12 @@
 """Planar points and the base of the package's immutable records, the
-deduplicated point set, tie-breaks and staircases.
+deduplicated point set, the skyline's two ends and staircases.
 
 Conventions used throughout the package:
 
 * A point dominates another when both of its coordinates are >= the
   other's; every point dominates itself.
 * "Highest, ties toward larger x" and "rightmost, ties toward larger y"
-  are the two total orders used to break ties everywhere.
+  are the two total orders that pick the skyline's ends.
 * All distance comparisons are done on squared Euclidean distances.
   Radii (lambda) enter the API already squared; with integer-ish inputs
   every comparison is then exact in 64-bit floats.
@@ -201,27 +201,14 @@ class PointSet:
             raise EmptyInput("point set is empty")
 
 
-def lex_argmax(a: np.ndarray, b: np.ndarray,
-               where: np.ndarray | None = None) -> int | None:
-    """Index of the largest pair (a[i], b[i]), over the i where `where`
-    holds if it is given: the first one on exact ties, None if no i
-    qualifies."""
-    rows = None if where is None else np.flatnonzero(where)
-    if rows is not None:
-        a, b = a[rows], b[rows]
-    if not len(a):
-        return None
-    top = np.flatnonzero(a == a.max())
-    i = int(top[np.argmax(b[top])])
-    return i if rows is None else int(rows[i])
-
-
 def extremes(P: PointSet) -> tuple[Point, Point]:
     """The two ends of sky(P): the highest point (ties toward larger x)
-    and the rightmost point (ties toward larger y)."""
+    and the rightmost point (ties toward larger y), which is the last in
+    P's (x, y) order."""
     x, y = P.xy[:, 0], P.xy[:, 1]
-    p0 = Point(*P.xy[lex_argmax(y, x)].tolist())
-    q0 = Point(*P.xy[lex_argmax(x, y)].tolist())
+    top = np.flatnonzero(y == y.max())
+    p0 = Point(*P.xy[top[np.argmax(x[top])]].tolist())
+    q0 = Point(*P.xy[P.order[-1]].tolist())
     return p0, q0
 
 

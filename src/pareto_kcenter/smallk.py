@@ -1,100 +1,85 @@
-"""Algorithms for very small k: linear-time 1-center, farthest-first
+"""Algorithms for very small k: the 1-center, farthest-first
 2-approximation over slabs, and a (1+eps)-approximation by a bounded
 binary search over a radius grid, with the materialized decision on the
 production skyline.
 
-The linear scans run on coordinate arrays (rows of a PointSet's ``xy``);
-Points are made only for the centers and the bisector candidates.
+All of them run on the staircase S = sky(P), by index into its ``xs``
+and ``ys`` columns; Points are made only for the returned centers.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .decision import decide_materialized
 from .errors import DegenerateSpan, InternalInvariantViolation, InvalidEpsilon
 from .exact import SolveResult
-from .geom import Point, PointSet, dist_sq, extremes, lex_argmax
+from .geom import Point, PointSet, SkylineArray
 from .instrument import counters
 from .skyline import slow_skyline
 
 
-def _bisector_scan(xy: np.ndarray, p0: Point, q0: Point):
-    """One pass implementing the bisector dichotomy over the rows of `xy`
-    and the two anchors.  Returns (p_prime, q_prime): the last skyline
-    point on the p0 side of the bisector and the first on the q0 side.
+def _dist_sq(S: SkylineArray, t: int, u: int) -> float:
+    dx = S.xs[t] - S.xs[u]
+    dy = S.ys[t] - S.ys[u]
+    return dx * dx + dy * dy
 
-    Distance evaluations: 2 per scanned point.
+
+def bisector_extremes(S: SkylineArray, i: int,
+                      j: int) -> tuple[tuple[int, float], tuple[int, float]]:
+    """Over the staircase S[i..j], i < j: the index minimizing the larger
+    distance to the anchors S[i] and S[j], and the index maximizing the
+    smaller one, each with that squared distance.
+
+    Distances from S[i] grow and distances from S[j] shrink from i to j.
+    So one bisection finds p, the last index on S[i]'s side of the
+    bisector (a point on it counts), and q = p + 1.  The larger anchor
+    distance falls up to p and rises from q on, and the smaller one the
+    other way round: p and q are the only candidates for either extreme,
+    and ties between them keep p, the smaller x.  In exact arithmetic no
+    other index ties; in floats distinct distances may round equal, and
+    then a smaller x may reach the same value.  Distance evaluations: 2
+    per probe and 4 for the candidates.
     """
-    pool = np.concatenate([xy, [[p0.x, p0.y], [q0.x, q0.y]]])
-    counters.add("dist_evals", 2 * len(pool))
-    x, y = pool[:, 0], pool[:, 1]
-    dx, dy = x - p0.x, y - p0.y
-    to_p = dx * dx + dy * dy
-    dx, dy = x - q0.x, y - q0.y
-    left = to_p <= dx * dx + dy * dy  # on the bisector counts left
-
-    # q0 is always strictly right of the bisector, so q1 exists.
-    q1 = lex_argmax(y, x, ~left)
-    qx, qy = x[q1], y[q1]
-    if not np.any((x >= qx) & (y >= qy) & ((x != qx) | (y != qy))):
-        q_prime = q1  # q1 is on the skyline
-        p_prime = lex_argmax(x, y, y > qy)
-    else:
-        p_prime = lex_argmax(x, y, left)
-        q_prime = lex_argmax(y, x, x > x[p_prime])
-    return Point(*pool[p_prime].tolist()), Point(*pool[q_prime].tolist())
-
-
-def bisector_extremes(xy: np.ndarray, p0: Point,
-                      q0: Point) -> tuple[Point, Point]:
-    """Over the skyline portion between p0 and q0: the point minimizing the
-    larger anchor distance, and the point maximizing the smaller one.
-
-    The rows of `xy`, an (m, 2) coordinate array, must lie within the
-    strip x(p0) <= x <= x(q0) (anchors need not be included).  O(1)
-    linear scans; the skyline is never built.  Ties break toward
-    smaller x.
-    """
-    if dist_sq(p0, q0) == 0.0:  # equal, or their distance underflows
+    if _dist_sq(S, i, j) == 0.0:  # equal, or their distance underflows
         raise DegenerateSpan("anchors coincide")
-    p_prime, q_prime = _bisector_scan(xy, p0, q0)
-    counters.add("dist_evals", 4)
-    cands = []
-    for c in (p_prime, q_prime):
-        dp, dq = dist_sq(c, p0), dist_sq(c, q0)
-        cands.append((c, max(dp, dq), min(dp, dq)))
-    r_star = min(cands, key=lambda t: (t[1], t[0].x))[0]
-    r_prime_star = max(cands, key=lambda t: (t[2], -t[0].x))[0]
-    return r_star, r_prime_star
+    p, q, probes = i, j, 0
+    while q - p > 1:
+        mid = (p + q) // 2
+        probes += 1
+        if _dist_sq(S, mid, i) <= _dist_sq(S, mid, j):
+            p = mid
+        else:
+            q = mid
+    counters.add("dist_evals", 2 * probes + 4)
+    d = {c: (_dist_sq(S, c, i), _dist_sq(S, c, j)) for c in (p, q)}
+    r_star = min((p, q), key=lambda c: max(d[c]))  # ties keep p
+    r_prime_star = max((p, q), key=lambda c: min(d[c]))
+    return (r_star, max(d[r_star])), (r_prime_star, min(d[r_prime_star]))
 
 
-def _slab(left: Point, right: Point, members: np.ndarray):
-    """Vertical strip between two consecutive centers, as (value, farthest
-    point, left center, right center, members).  Members are the rows,
-    an (m, 2) array, of the points with x strictly between the centers';
-    the farthest point is the strip's skyline point farthest from the
-    nearer center, value that distance squared (0 if it is a center)."""
-    _, rp = bisector_extremes(members, left, right)
-    counters.add("dist_evals", 2)
-    return min(dist_sq(rp, left), dist_sq(rp, right)), rp, left, right, members
+def _point(S: SkylineArray, t: int) -> Point:
+    return Point(S.xs[t], S.ys[t])
 
 
 def solve_one_center(P: PointSet) -> SolveResult:
-    """Optimal single center in O(n): only the two bisector candidates can
-    minimize the larger distance to the skyline extremes."""
-    P.require_nonempty()
-    p0, q0 = extremes(P)
-    if dist_sq(p0, q0) == 0.0:  # p0 == q0, or their distance underflows
-        return SolveResult(0.0, (p0,), "one-center")
-    x = P.xy[:, 0]
-    strip = P.xy[(x >= p0.x) & (x <= q0.x)]
-    r_star, _ = bisector_extremes(strip, p0, q0)
-    counters.add("dist_evals", 2)
-    lam_sq = max(dist_sq(r_star, p0), dist_sq(r_star, q0))
-    return SolveResult(lam_sq, (r_star,), "one-center")
+    """Optimal single center: only the two bisector candidates between
+    the skyline's ends can minimize the larger distance to them."""
+    S = slow_skyline(P)
+    h = len(S) - 1
+    if _dist_sq(S, 0, h) == 0.0:  # one point, or their distance underflows
+        return SolveResult(0.0, (_point(S, 0),), "one-center")
+    (r_star, lam_sq), _ = bisector_extremes(S, 0, h)
+    return SolveResult(lam_sq, (_point(S, r_star),), "one-center")
+
+
+def _slab(S: SkylineArray, i: int, j: int) -> tuple[float, int, int, int]:
+    """Staircase stretch between consecutive centers S[i] and S[j], as
+    (value, farthest index, i, j): the farthest point is the one farthest
+    from its nearer center, value that distance squared (0 if it is a
+    center)."""
+    _, (far, val) = bisector_extremes(S, i, j)
+    return val, far, i, j
 
 
 def gonzalez_2approx(P: PointSet, k: int) -> SolveResult:
@@ -110,24 +95,22 @@ def gonzalez_2approx(P: PointSet, k: int) -> SolveResult:
     if k == 1:
         res = solve_one_center(P)
         return SolveResult(res.lambda_star_sq, res.centers, "gonzalez")
-    p0, q0 = extremes(P)
-    if dist_sq(p0, q0) == 0.0:  # p0 == q0, or their distance underflows
-        return SolveResult(0.0, (p0,), "gonzalez")
-    centers = [p0, q0]
-    x = P.xy[:, 0]
-    slabs = [_slab(p0, q0, P.xy[(x > p0.x) & (x < q0.x)])]
+    S = slow_skyline(P)
+    h = len(S) - 1
+    if _dist_sq(S, 0, h) == 0.0:  # one point, or their distance underflows
+        return SolveResult(0.0, (_point(S, 0),), "gonzalez")
+    centers = [0, h]
+    slabs = [_slab(S, 0, h)]
     for _ in range(k - 2):
         # Split the first slab of largest value: max keeps the first.
-        i = max(range(len(slabs)), key=lambda j: slabs[j][0])
-        val, c, left, right, members = slabs[i]
+        t = max(range(len(slabs)), key=lambda s: slabs[s][0])
+        val, c, i, j = slabs[t]
         if val <= 0.0:
             break  # every skyline point is already a center
         centers.append(c)
-        x = members[:, 0]
-        slabs[i:i + 1] = [_slab(left, c, members[x < c.x]),
-                          _slab(c, right, members[x > c.x])]
-    return SolveResult(max(slab[0] for slab in slabs), tuple(centers),
-                       "gonzalez")
+        slabs[t:t + 1] = [_slab(S, i, c), _slab(S, c, j)]
+    return SolveResult(max(slab[0] for slab in slabs),
+                       tuple(_point(S, c) for c in centers), "gonzalez")
 
 
 def check_epsilon(eps: float) -> None:

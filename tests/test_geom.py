@@ -10,12 +10,14 @@ from pareto_kcenter import DEFAULT_SEED
 from pareto_kcenter.cli import Route, RunReport
 from pareto_kcenter.decision import DecisionOutcome
 from pareto_kcenter.errors import FrozenRecord
-from pareto_kcenter.exact import SolveResult, solve_parametric, solve_via_matrix
+from pareto_kcenter.exact import (SolveResult, solve_by_rows, solve_parametric,
+                                  solve_via_matrix)
 from pareto_kcenter.geom import Point, PointSet, SkylineArray, dist_sq, extremes
 from pareto_kcenter.grouped import build, next_relevant_point
 from pareto_kcenter.instances import InstanceSpec
 from pareto_kcenter.skyline import BoundedResult, slow_skyline
-from pareto_kcenter.smallk import approx_solve, gonzalez_2approx
+from pareto_kcenter.smallk import (approx_solve, gonzalez_2approx,
+                                   solve_one_center)
 
 from conftest import (RAW_POINTS, SCALES, STAIR4, from_coords, random_pointset,
                       scaled_points, validate_staircase, x_tied_rows)
@@ -86,8 +88,8 @@ class TestPointSet:
             assert a.flags.writeable
 
     def test_solvers_never_materialize_points(self, rng, monkeypatch):
-        # The solvers work on xy; an array-built set makes no per-row
-        # Point on their way.
+        # The solvers work on xy and the staircase's columns; an
+        # array-built set makes no per-row Point on their way.
         xy = np.array([(rng.randint(0, 60), rng.randint(0, 60))
                        for _ in range(300)], dtype=float)
         P = PointSet(xy)
@@ -96,9 +98,12 @@ class TestPointSet:
             raise AssertionError("per-row points were materialized")
 
         monkeypatch.setattr(PointSet, "points", property(refuse))
+        monkeypatch.setattr(SkylineArray, "pts", property(refuse))
         slow_skyline(P)
         build(P, 7)
+        solve_one_center(P)
         for k in (1, 2, 5):
+            solve_by_rows(P, k)
             solve_via_matrix(P, k)
             solve_parametric(P, k)
             gonzalez_2approx(P, k)

@@ -1,61 +1,91 @@
+import itertools
 import math
 import tracemalloc
 
-import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from pareto_kcenter import smallk
 from pareto_kcenter.errors import (DegenerateSpan, InternalInvariantViolation,
                                    InvalidEpsilon)
 from pareto_kcenter.exact import (SolveResult, solve_parametric,
                                   solve_via_matrix)
-from pareto_kcenter.geom import Point, PointSet, dist_sq
+from pareto_kcenter.geom import Point, PointSet, SkylineArray, dist_sq
 from pareto_kcenter.instrument import counters
 from pareto_kcenter.smallk import (approx_solve, bisector_extremes,
                                    gonzalez_2approx, solve_one_center)
 
-from conftest import STAIR4, STAIR5, from_coords, random_pointset
+from conftest import (RAW_POINTS, SCALE_VALUES, STAIR4, STAIR5, from_coords,
+                      random_pointset, scaled_pointset)
 from oracle import brute_opt, brute_psi_sq, brute_skyline
 
-NO_ROWS = np.empty((0, 2))
+
+def stair(*coords) -> SkylineArray:
+    return SkylineArray([Point(x, y) for x, y in coords])
+
+
+def check_extremes(sky, i, j, exact_ties):
+    """bisector_extremes(sky, i, j) against a scan of sky[i..j]: both
+    values always, and the indices, ties toward smaller x, when
+    `exact_ties` (integer grids, where equal values are equal
+    distances)."""
+    larger = lambda t: max(dist_sq(sky[t], sky[i]), dist_sq(sky[t], sky[j]))
+    smaller = lambda t: min(dist_sq(sky[t], sky[i]), dist_sq(sky[t], sky[j]))
+    (r_star, far), (r_prime, near) = bisector_extremes(sky, i, j)
+    assert i <= r_star <= j and i <= r_prime <= j
+    assert (far, near) == (larger(r_star), smaller(r_prime))
+    assert far == min(map(larger, range(i, j + 1)))
+    assert near == max(map(smaller, range(i, j + 1)))
+    if exact_ties:  # min and max keep the first, the smallest x
+        assert r_star == min(range(i, j + 1), key=larger)
+        assert r_prime == max(range(i, j + 1), key=smaller)
+
+
+# At 1e-170 the two points' squared distance underflows to 0.
+UNDERFLOW_RAW = [(0, 1, 0, 0), (1, 0, 0, 0)]
+# The middle point is on the bisector of the ends at every scale.
+ON_BISECTOR_RAW = [(0, 2, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0)]
 
 
 class TestBisectorExtremes:
     def test_staircase_tie_breaks_to_smaller_x(self):
-        p0, q0 = Point(0, 3), Point(3, 0)
-        strip = np.array([(1.0, 2.0), (2.0, 1.0)])
-        r_star, _ = bisector_extremes(strip, p0, q0)
-        assert r_star == Point(1, 2)
-        assert max(dist_sq(r_star, p0), dist_sq(r_star, q0)) == 8.0
+        S = stair((0, 3), (1, 2), (2, 1), (3, 0))
+        # S[1] and S[2] tie on both extremes: 8 and 2
+        assert bisector_extremes(S, 0, 3) == ((1, 8.0), (1, 2.0))
+        # S[1] is on the bisector of S[0] and S[2]: it is both extremes
+        assert bisector_extremes(S, 0, 2) == ((1, 2.0), (1, 2.0))
 
     def test_empty_interior_falls_back_to_anchors(self):
-        p0, q0 = Point(0, 3), Point(3, 0)
-        r_star, r_prime = bisector_extremes(NO_ROWS, p0, q0)
-        assert r_star == p0  # both anchors tie at d(p0, q0); smaller x wins
-        assert r_prime in (p0, q0)
+        S = stair((0, 3), (1, 2), (3, 0))
+        for i in (0, 1):  # adjacent anchors: both tie at their distance
+            d = dist_sq(S[i], S[i + 1])
+            assert bisector_extremes(S, i, i + 1) == ((i, d), (i, 0.0))
 
     def test_degenerate_anchors(self):
+        S = stair((1, 1))
         with pytest.raises(DegenerateSpan):
-            bisector_extremes(NO_ROWS, Point(1, 1), Point(1, 1))
-        with pytest.raises(DegenerateSpan):  # the distance underflows to 0
-            bisector_extremes(NO_ROWS, Point(0.0, 0.0),
-                              Point(5e-324, -5e-324))
+            bisector_extremes(S, 0, 0)
+        S = stair((0.0, 0.0), (5e-324, -5e-324))
+        assert dist_sq(S[0], S[1]) == 0.0  # the distance underflows
+        with pytest.raises(DegenerateSpan):
+            bisector_extremes(S, 0, 1)
 
     def test_matches_exhaustive_scan(self, rng):
+        # every index pair, so every slab gonzalez can split, not only
+        # the skyline's two ends
         for _ in range(120):
-            P = random_pointset(rng, rng.randint(2, 60))
-            sky = brute_skyline(P)
-            if len(sky) < 2:
-                continue
-            p0, q0 = sky[0], sky[-1]
-            x = P.xy[:, 0]
-            strip = P.xy[(x >= p0.x) & (x <= q0.x)]
-            r_star, r_prime = bisector_extremes(strip, p0, q0)
-            mx = lambda p: max(dist_sq(p, p0), dist_sq(p, q0))
-            mn = lambda p: min(dist_sq(p, p0), dist_sq(p, q0))
-            assert r_star in sky.pts and r_prime in sky.pts
-            assert mx(r_star) == min(mx(p) for p in sky)
-            assert mn(r_prime) == max(mn(p) for p in sky)
+            sky = brute_skyline(random_pointset(rng, rng.randint(2, 60)))
+            for i, j in itertools.combinations(range(len(sky)), 2):
+                check_extremes(sky, i, j, exact_ties=True)
+
+    @pytest.mark.parametrize("scale", SCALE_VALUES)
+    @settings(max_examples=25, deadline=None)
+    @given(raw=RAW_POINTS)
+    def test_values_match_scan_at_every_scale(self, scale, raw):
+        sky = brute_skyline(scaled_pointset(scale, raw))
+        for i, j in itertools.combinations(range(len(sky)), 2):
+            if dist_sq(sky[i], sky[j]) > 0.0:
+                check_extremes(sky, i, j, exact_ties=False)
 
 
 class TestSolveOneCenter:
@@ -85,6 +115,19 @@ class TestSolveOneCenter:
             res = solve_one_center(P)
             assert res.lambda_star_sq == solve_via_matrix(P, 1).lambda_star_sq
             assert res.lambda_star_sq == solve_parametric(P, 1).lambda_star_sq
+
+    @pytest.mark.parametrize("scale", SCALE_VALUES)
+    @settings(max_examples=25, deadline=None)
+    @given(raw=RAW_POINTS)
+    @example(raw=UNDERFLOW_RAW)
+    @example(raw=ON_BISECTOR_RAW)
+    def test_matches_oracle_at_every_scale(self, scale, raw):
+        P = scaled_pointset(scale, raw)
+        res = solve_one_center(P)
+        sky = brute_skyline(P)
+        assert res.centers[0] in sky.pts
+        assert res.lambda_star_sq.hex() == brute_opt(P, 1).hex()
+        assert brute_psi_sq(sky, res.centers) == res.lambda_star_sq
 
     def test_linear_distance_evaluation_budget(self, rng):
         for _ in range(60):
@@ -129,23 +172,53 @@ class TestGonzalez:
         # traversal point for point (ties toward smaller x)
         for _ in range(60):
             P = random_pointset(rng, rng.randint(2, 60))
-            sky = brute_skyline(P)
             k = rng.randint(2, 8)
             centers = gonzalez_2approx(P, k).centers
-            ref = [sky[0], sky[-1]]
-            if ref[0] == ref[1]:
-                ref = [sky[0]]
-            while len(ref) < k:
-                best, best_key = None, None
-                for p in sky:
-                    d = min(dist_sq(p, c) for c in ref)
-                    key = (-d, p.x)
-                    if best_key is None or key < best_key:
-                        best, best_key = p, key
-                if min(dist_sq(best, c) for c in ref) == 0.0:
+            assert list(centers) == farthest_first(brute_skyline(P), k)
+
+    @pytest.mark.parametrize("scale", SCALE_VALUES)
+    @settings(max_examples=25, deadline=None)
+    @given(raw=RAW_POINTS)
+    @example(raw=UNDERFLOW_RAW)
+    @example(raw=ON_BISECTOR_RAW)
+    def test_is_farthest_first_at_every_scale(self, scale, raw):
+        # Off integer grids, distinct distances can round equal, so ties
+        # may break either way: each center must be a farthest point.
+        P = scaled_pointset(scale, raw)
+        sky = brute_skyline(P)
+        for k in range(2, 7):
+            res = gonzalez_2approx(P, k)
+            centers = list(res.centers)
+            seeds = farthest_first(sky, 2)
+            assert len(centers) <= k and centers[:2] == seeds
+            for m in range(len(seeds), k + 1):
+                far = brute_psi_sq(sky, centers[:m])
+                if m == len(centers):
+                    assert m == k or far == 0.0
                     break
-                ref.append(best)
-            assert list(centers) == ref
+                assert centers[m] in sky.pts and far > 0.0
+                assert min(dist_sq(centers[m], c) for c in centers[:m]) == far
+            assert brute_psi_sq(sky, centers) == res.lambda_star_sq
+
+
+def farthest_first(sky, k):
+    """The plain farthest-first traversal from both skyline ends, k >= 2:
+    add the point farthest from its nearest center (ties toward smaller
+    x) until k are chosen or every point is at distance 0 from one."""
+    ref = [sky[0]]
+    if dist_sq(sky[0], sky[-1]) > 0.0:  # else every point is at 0
+        ref.append(sky[-1])
+    while len(ref) < k:
+        best, best_key = None, None
+        for p in sky:
+            d = min(dist_sq(p, c) for c in ref)
+            key = (-d, p.x)
+            if best_key is None or key < best_key:
+                best, best_key = p, key
+        if min(dist_sq(best, c) for c in ref) == 0.0:
+            break
+        ref.append(best)
+    return ref
 
 
 class TestApproxSolve:
