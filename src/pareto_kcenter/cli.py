@@ -116,7 +116,8 @@ class RunReport(Record):
 class Route(Record):
     """An entry of a name table.  ``run`` looks the package function up
     in this module when called, so a rebound name (span tracing rebinds
-    them) is honoured.  A key "name:<arg>" takes a parameter, which
+    them) is honoured.  A solver's ``run`` takes the staircase S, a
+    skyline's the points P.  A key "name:<arg>" takes a parameter, which
     ``parse`` reads from the text after the colon (None if absent).
     ``guarantee`` is a solver's radius against opt(P, k)."""
 
@@ -156,19 +157,21 @@ def _size(text: str | None) -> int:
     return int(text)
 
 
-# solve/plot/bench --method: run(P, k, parameter) gives a SolveResult.
+# solve/plot/bench --method: run(S, k, parameter) gives a SolveResult on
+# the staircase S, built once per run (parametric runs on S's points).
 # Each name runs one route.  auto runs the row route at every (h, k): on
 # the grid in BENCH_auto.json no rule by (h, k) picks better, as where
 # the matrix route wins (by at most 1.45x) it loses on other inputs of
 # the same (h, k).
 SOLVERS = {
-    "auto": Route(lambda P, k, _: solve_by_rows(P, k)),
-    "rows": Route(lambda P, k, _: solve_by_rows(P, k)),
-    "matrix": Route(lambda P, k, _: solve_via_matrix(P, k)),
-    "parametric": Route(lambda P, k, _: solve_parametric(P, k)),
-    "one-center": Route(lambda P, k, _: solve_one_center(P), max_k=1),
-    "gonzalez": Route(lambda P, k, _: gonzalez_2approx(P, k), "factor 2"),
-    "approx:<eps>": Route(lambda P, k, eps: approx_solve(P, k, eps), "1+eps",
+    "auto": Route(lambda S, k, _: solve_by_rows(S, k)),
+    "rows": Route(lambda S, k, _: solve_by_rows(S, k)),
+    "matrix": Route(lambda S, k, _: solve_via_matrix(S, k)),
+    "parametric": Route(lambda S, k, _: solve_parametric(
+        PointSet(np.column_stack((S.xs, S.ys))), k)),
+    "one-center": Route(lambda S, k, _: solve_one_center(S), max_k=1),
+    "gonzalez": Route(lambda S, k, _: gonzalez_2approx(S, k), "factor 2"),
+    "approx:<eps>": Route(lambda S, k, eps: approx_solve(S, k, eps), "1+eps",
                           _epsilon),
 }
 
@@ -186,14 +189,14 @@ SOLVER_HELP = " | ".join(f"{name} ({route.guarantee})"
 
 
 def solver(method: str, ks) -> tuple[Callable, bool]:
-    """(run(P, k) -> SolveResult, whether the route is exact) for a
-    --method name, once every k in ks, the name and its parameter have
-    been checked."""
+    """(run(S, k) -> SolveResult on the staircase S, whether the route is
+    exact) for a --method name, once every k in ks, the name and its
+    parameter have been checked."""
     _at_least_1("k", *ks)
     route, param = _lookup(SOLVERS, method, "method")
     if route.max_k is not None and max(ks) > route.max_k:
         raise InputError(f"{method} requires k={route.max_k}")
-    return lambda P, k: route.run(P, k, param), route.guarantee == "exact"
+    return lambda S, k: route.run(S, k, param), route.guarantee == "exact"
 
 
 def _certify(S: SkylineArray, k: int, res: SolveResult, exact: bool) -> None:
@@ -217,17 +220,6 @@ def _timed(fn, *args):
     result = fn(*args)
     seconds = time.perf_counter() - started
     return result, seconds, counters.snapshot()
-
-
-def _staircase(P: PointSet) -> tuple[SkylineArray, PointSet]:
-    """The production skyline S of P and the point set a route runs on:
-    S's points, or P itself when every point is on S.  Every route's
-    answer depends only on the skyline, so running it on S gives the
-    same radius and centers without a pass over the dominated points."""
-    S = slow_skyline(P)
-    if len(S) == len(P):
-        return S, P
-    return S, PointSet(np.column_stack((S.xs, S.ys)))
 
 
 def _decide(P: PointSet, k: int, lam_sq: float, grouped: bool):
@@ -282,12 +274,16 @@ def cmd_decide(args) -> int:
 
 def _solve(args) -> tuple[PointSet, SkylineArray, SolveResult, dict]:
     """solve's and plot's run of --method on the input: the points P,
-    their skyline S, the route's certified result on S and its counter
-    snapshot."""
+    their skyline S, built once and counted with the route, the route's
+    certified result on S and its counter snapshot."""
     P = _load(args.input)
     run, exact = solver(args.method, [args.k])
-    S, on = _staircase(P)  # before _timed, which resets the counters
-    res, _, snap = _timed(run, on, args.k)
+
+    def on_skyline():
+        S = slow_skyline(P)
+        return S, run(S, args.k)
+
+    (S, res), _, snap = _timed(on_skyline)
     _certify(S, args.k, res, exact)  # after the counter snapshot
     return P, S, res, snap
 
@@ -308,7 +304,7 @@ def cmd_solve(args) -> int:
 
 
 def _bench_radius(P: PointSet, k: int) -> float:
-    psi_sq = gonzalez_2approx(P, k).lambda_star_sq
+    psi_sq = gonzalez_2approx(slow_skyline(P), k).lambda_star_sq
     return 0.98 * psi_sq / 4.0  # just below opt/2-ish: forces k rounds
 
 
@@ -343,7 +339,7 @@ def cmd_bench(args) -> int:
         setup, timed = BENCH_JOBS[args.method]
     else:
         run, _ = solver(args.method, ks)
-        setup, timed = None, lambda P, k, _: run(P, k)
+        setup, timed = None, lambda P, k, _: run(slow_skyline(P), k)
     cols = ["gen", "n", "h", "k", "method", "ms", *BENCH_COUNTERS,
             "t_ratio", "c_ratio", "digest"]
     print("\t".join(cols))
@@ -431,7 +427,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="2", help="comma-separated k values")
     p.add_argument("--method", default="skyline-optimal",
                    help=" | ".join(BENCH_JOBS) + " | " + SOLVER_HELP
-                   + "; solvers run on the generated points")
+                   + "; solvers run on the generated points' skyline")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_bench)
 

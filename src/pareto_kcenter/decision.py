@@ -53,16 +53,21 @@ def _reach(xs: list, ys: list, a: int, lambda_sq: float) -> tuple[int, int]:
     return lo, evals
 
 
+def check_input(S: SkylineArray, k: int) -> None:
+    """Refuse an empty staircase S and k < 1, as every route on S does."""
+    if len(S) == 0:
+        raise EmptyInput("empty skyline")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
 def decide_materialized(S: SkylineArray, k: int, lambda_sq: float,
                         verdict_only: bool = False) -> DecisionOutcome:
     """The greedy on the skyline's columns, O(k log h) distances in all.
     It keeps indices, and makes Points only for a feasible outcome, and
     then only if more than the verdict is asked for: the searches over
     radii need the verdict alone, and their final decision the centers."""
-    if len(S) == 0:
-        raise EmptyInput("empty skyline")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_input(S, k)
     if not lambda_sq >= 0:  # also rejects NaN
         raise ValueError("lambda_sq must be >= 0")
     counters.add("decide_calls")

@@ -1,7 +1,9 @@
 """Exact solvers for the k-center value along the skyline.
 
 Three routes.  Each returns a pairwise skyline distance, certified by a
-final decision that also picks the centers:
+final decision that also picks the centers.  The row and matrix routes
+take the staircase S = sky(P), built once by the caller; the parametric
+search takes the points P:
 
 * row route: run the materialized greedy at the unknown optimum, one
   staircase row per step.  Each step bisects the row of distances from
@@ -41,9 +43,8 @@ from .errors import InternalInvariantViolation, NotFound, RankOutOfRange
 from .geom import Point, PointSet, Record, SkylineArray, dist_sq
 from .grouped import (GroupedSkyline, build, first_false, next_on_skyline,
                       next_relevant_point)
-from .decision import decide_grouped, decide_materialized
+from .decision import check_input, decide_grouped, decide_materialized
 from .instrument import counters
-from .skyline import slow_skyline
 
 
 class SolveResult(Record):
@@ -207,18 +208,15 @@ def _matrix_rows(S: SkylineArray):
             np.arange(1, h), np.full(h - 1, h))
 
 
-def solve_via_matrix(P: PointSet, k: int) -> SolveResult:
+def solve_via_matrix(S: SkylineArray, k: int) -> SolveResult:
     """Multi-array search over the h-1 increasing rows d(S[r], S[j > r])
-    of the sorted distance matrix, one materialized decision per probe.
+    of S's sorted distance matrix, one materialized decision per probe.
 
     For k < h the optimum is positive, so it lies in those rows; the last
     entry of row 0, the diameter, is always feasible.  For k >= h it is
     0.  Either way one final decision certifies it and picks the centers.
     """
-    P.require_nonempty()
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    S = slow_skyline(P)
+    check_input(S, k)
     lam = 0.0
     if k < len(S):
         lam = multi_array_search(
@@ -288,14 +286,11 @@ def _row_greedy(xs: list, ys: list, k: int,
     return above
 
 
-def solve_by_rows(P: PointSet, k: int) -> SolveResult:
-    """The materialized greedy at the unknown optimum, one staircase row
-    per step (_row_greedy), for k < h; 0 for k >= h.  A final decision
-    certifies the value and picks the centers."""
-    P.require_nonempty()
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    S = slow_skyline(P)
+def solve_by_rows(S: SkylineArray, k: int) -> SolveResult:
+    """The materialized greedy at the unknown optimum, one row of the
+    staircase S per step (_row_greedy), for k < h; 0 for k >= h.  A
+    final decision certifies the value and picks the centers."""
+    check_input(S, k)
     lam = 0.0
     if k < len(S):
         lam = _row_greedy(S.xs, S.ys, k, lambda v: decide_materialized(

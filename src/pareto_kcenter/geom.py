@@ -214,9 +214,10 @@ def extremes(P: PointSet) -> tuple[Point, Point]:
 
 class SkylineArray:
     """Skyline points sorted by strictly increasing x (so strictly
-    decreasing y), stored as the columns ``xs`` and ``ys``.  Built from
-    Points, it keeps them; from the columns (xs, ys), it makes Points on
-    first use of ``pts``, indexing or iteration."""
+    decreasing y), stored as the columns ``xs`` and ``ys``: the staircase
+    S that the decision and the routes take, built once per run.  Built
+    from Points, it keeps them; from the columns (xs, ys), it makes
+    Points on first use of ``pts``, indexing or iteration."""
 
     __slots__ = ("xs", "ys", "_pts")
 

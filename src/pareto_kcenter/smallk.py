@@ -3,20 +3,19 @@
 binary search over a radius grid, with the materialized decision on the
 production skyline.
 
-All of them run on the staircase S = sky(P), by index into its ``xs``
-and ``ys`` columns; Points are made only for the returned centers.
+All of them take the staircase S = sky(P) and run by index into its
+``xs`` and ``ys`` columns; Points are made only for the returned centers.
 """
 
 from __future__ import annotations
 
 import math
 
-from .decision import decide_materialized
+from .decision import check_input, decide_materialized
 from .errors import DegenerateSpan, InternalInvariantViolation, InvalidEpsilon
 from .exact import SolveResult
-from .geom import Point, PointSet, SkylineArray
+from .geom import Point, SkylineArray
 from .instrument import counters
-from .skyline import slow_skyline
 
 
 def _dist_sq(S: SkylineArray, t: int, u: int) -> float:
@@ -62,10 +61,10 @@ def _point(S: SkylineArray, t: int) -> Point:
     return Point(S.xs[t], S.ys[t])
 
 
-def solve_one_center(P: PointSet) -> SolveResult:
-    """Optimal single center: only the two bisector candidates between
-    the skyline's ends can minimize the larger distance to them."""
-    S = slow_skyline(P)
+def solve_one_center(S: SkylineArray) -> SolveResult:
+    """Optimal single center of S: only the two bisector candidates
+    between its ends can minimize the larger distance to them."""
+    check_input(S, 1)
     h = len(S) - 1
     if _dist_sq(S, 0, h) == 0.0:  # one point, or their distance underflows
         return SolveResult(0.0, (_point(S, 0),), "one-center")
@@ -82,20 +81,17 @@ def _slab(S: SkylineArray, i: int, j: int) -> tuple[float, int, int, int]:
     return val, far, i, j
 
 
-def gonzalez_2approx(P: PointSet, k: int) -> SolveResult:
-    """Farthest-first traversal seeded with both skyline extremes.
+def gonzalez_2approx(S: SkylineArray, k: int) -> SolveResult:
+    """Farthest-first traversal over S, seeded with both of its ends.
 
     Its radius psi is within twice the optimum (squared: within four
     times).  The final round evaluates the true covering radius of the
     chosen centers.
     """
-    P.require_nonempty()
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_input(S, k)
     if k == 1:
-        res = solve_one_center(P)
+        res = solve_one_center(S)
         return SolveResult(res.lambda_star_sq, res.centers, "gonzalez")
-    S = slow_skyline(P)
     h = len(S) - 1
     if _dist_sq(S, 0, h) == 0.0:  # one point, or their distance underflows
         return SolveResult(0.0, (_point(S, 0),), "gonzalez")
@@ -118,17 +114,15 @@ def check_epsilon(eps: float) -> None:
         raise InvalidEpsilon(f"eps must be in (0, 1), got {eps}")
 
 
-def approx_solve(P: PointSet, k: int, eps: float) -> SolveResult:
-    """(1+eps)-approximation: bracket the optimum with the farthest-first
-    radius, then binary search a grid of ~2/eps radii with the
-    materialized decision on sky(P), which gives the grouped decision's
+def approx_solve(S: SkylineArray, k: int, eps: float) -> SolveResult:
+    """(1+eps)-approximation on S: bracket the optimum with the
+    farthest-first radius, then binary search a grid of ~2/eps radii with
+    the materialized decision on S, which gives the grouped decision's
     verdicts and centers.  Each grid radius is computed when probed."""
     check_epsilon(eps)
-    P.require_nonempty()
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_input(S, k)
     tag = f"approx:{eps!r}"
-    two_approx = gonzalez_2approx(P, k)
+    two_approx = gonzalez_2approx(S, k)
     psi2_sq = two_approx.lambda_star_sq
     if psi2_sq == 0.0:
         return SolveResult(0.0, two_approx.centers, tag)
@@ -140,7 +134,6 @@ def approx_solve(P: PointSet, k: int, eps: float) -> SolveResult:
         # Guard the top against sqrt rounding: psi2_sq itself is feasible.
         return max(r_sq, psi2_sq) if j == jmax else r_sq
 
-    S = slow_skyline(P)
     lo, hi = 0, jmax
     while lo < hi:
         mid = (lo + hi) // 2

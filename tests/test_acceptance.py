@@ -109,7 +109,7 @@ def test_criterion_4_and_5_exact_solver_agreement_and_certificate():
         P = seeded_instance(rng, i, n_max=300, stair_max=160)
         k = rng.randint(1, 8)
         want = brute_opt(P, k)
-        a = solve_via_matrix(P, k)
+        a = solve_via_matrix(slow_skyline(P), k)
         b = solve_parametric(P, k)
         assert a.lambda_star_sq == want == b.lambda_star_sq, f"instance {i}"
         sky = brute_skyline(P)
@@ -155,18 +155,19 @@ def test_criterion_7_small_k():
     rng = random.Random(707)
     for i in range(500):
         P = seeded_instance(rng, i, n_max=400, stair_max=200)
+        S = slow_skyline(P)
         if len(P) >= 16:
             counters.reset()
-            res = solve_one_center(P)
+            res = solve_one_center(S)
             assert counters.get("dist_evals") <= 3 * len(P)
         else:
-            res = solve_one_center(P)
-        assert res.lambda_star_sq == solve_via_matrix(P, 1).lambda_star_sq
+            res = solve_one_center(S)
+        assert res.lambda_star_sq == solve_via_matrix(S, 1).lambda_star_sq
 
     for i in range(500):
         P = seeded_instance(rng, i, n_max=220, stair_max=140)
         k = rng.randint(1, 8)
-        res = gonzalez_2approx(P, k)
+        res = gonzalez_2approx(slow_skyline(P), k)
         opt = brute_opt(P, k)
         assert res.lambda_star_sq <= 4.0 * opt, f"gonzalez instance {i}"
         sky = brute_skyline(P)
@@ -177,7 +178,7 @@ def test_criterion_7_small_k():
         k = rng.randint(1, 6)
         opt = brute_opt(P, k)
         for eps in (0.5, 0.1, 0.01):
-            res = approx_solve(P, k, eps)
+            res = approx_solve(slow_skyline(P), k, eps)
             assert res.lambda_star_sq <= (1.0 + eps) ** 2 * opt, \
                 f"approx instance {i}, eps={eps}"
             assert len(res.centers) <= k
@@ -202,8 +203,9 @@ def test_criterion_8_scaling_counters():
     n = 2 ** 17
     P = generate(InstanceSpec("staircase", n, seed=818))
     ratios = []
+    S = slow_skyline(P)
     for k in (2, 4, 8, 16, 32, 64):
-        psi_sq = gonzalez_2approx(P, k).lambda_star_sq
+        psi_sq = gonzalez_2approx(S, k).lambda_star_sq
         lam_sq = 0.98 * psi_sq / 4.0  # strictly below opt: forces k rounds
         G = build(P, k)
         counters.reset()

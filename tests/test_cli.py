@@ -1,5 +1,6 @@
 import argparse
 import io
+import itertools
 import json
 import math
 import os
@@ -14,12 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 from pareto_kcenter import cli
 from pareto_kcenter.cli import SOLVERS, _certify, _digest, main, solver
 from pareto_kcenter.errors import InternalInvariantViolation
-from pareto_kcenter.exact import SolveResult
+from pareto_kcenter.exact import SolveResult, solve_parametric
 from pareto_kcenter.geom import Point, PointSet
 from pareto_kcenter.pointio import read_point_file, write_points
 from pareto_kcenter.skyline import slow_skyline
 
-from conftest import RAW_POINTS, SCALES, scaled_pointset
+from conftest import RAW_POINTS, SCALE_VALUES, SCALES, scaled_pointset
 from oracle import brute_opt, brute_psi_sq, brute_skyline
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -499,12 +500,15 @@ def test_every_solver_table_entry_keeps_its_guarantee(name, scale, raw, k):
     sky = brute_skyline(P).pts
     opt = brute_opt(P, k)
     run, exact = solver(name.replace("<eps>", str(TABLE_EPS)), [k])
-    res = run(P, k)
+    S = slow_skyline(P)
+    res = run(S, k)
     tag, lam_sq, centers = res.algorithm, res.lambda_star_sq, res.centers
-    # solve and plot run the route on the staircase: the same answer.
-    on_sky = run(PointSet(sky), k)
-    assert on_sky.lambda_star_sq.hex() == lam_sq.hex()
-    assert on_sky.centers == centers
+    if tag == "parametric":
+        # The table runs the paper's route on S's points: dominated
+        # points do not change its answer.
+        full = solve_parametric(P, k)
+        assert full.lambda_star_sq.hex() == lam_sq.hex()
+        assert full.centers == centers
     assert len(centers) <= k and set(centers) <= set(sky)
     assert brute_psi_sq(sky, centers) <= lam_sq
     if route.guarantee == "exact":
@@ -514,11 +518,11 @@ def test_every_solver_table_entry_keeps_its_guarantee(name, scale, raw, k):
         assert opt <= lam_sq <= factor * factor * opt * (1 + FACTOR_SLACK)
     # solve's certificate holds: the decision is feasible at the radius
     # and, for an exact route, not one ulp below it.
-    _certify(slow_skyline(P), k, res, exact)
+    _certify(S, k, res, exact)
     if tag in ("rows", "matrix", "parametric"):
         # The routes that certify with the greedy decision also agree on
         # the centers; one-center picks its own optimal center.
-        ref = solver("matrix", [k])[0](P, k)
+        ref = solver("matrix", [k])[0](S, k)
         assert _digest(centers, lam_sq) == _digest(ref.centers,
                                                    ref.lambda_star_sq)
 
@@ -532,13 +536,15 @@ def test_every_solver_table_entry_is_refused_an_overflowing_extent(name):
     run, _ = solver(name.replace("<eps>", str(TABLE_EPS)), [1])
     for points in (np.array(wide), [Point(x, y) for x, y in wide]):
         with pytest.raises(ValueError, match="squared extent overflows"):
-            run(PointSet(points), 1)
+            run(slow_skyline(PointSet(points)), 1)
 
 
 def test_solve_and_plot_compute_the_skyline_once(capsys, tmp_path,
                                                 monkeypatch):
     # Fifteen of the 18 points are dominated: the routes run on the other
-    # three, and solve reports that skyline's h.
+    # three, and solve reports that skyline's h.  The skyline is counted
+    # through every module that has bound slow_skyline, so a route that
+    # built its own would show.
     path = tmp_path / "in.txt"
     path.write_text("0 30\n10 20\n30 0\n" + "".join(
         f"{x} {y}\n" for x in range(5) for y in range(3)))
@@ -548,18 +554,21 @@ def test_solve_and_plot_compute_the_skyline_once(capsys, tmp_path,
         calls.append(len(P))
         return skyline(P)
 
-    monkeypatch.setattr(cli, "slow_skyline", counted)
-    for method in ("auto", "parametric", "gonzalez", "approx:0.5"):
+    for module in ("cli", "exact", "smallk"):
+        monkeypatch.setattr(f"pareto_kcenter.{module}.slow_skyline", counted,
+                            raising=False)
+    for name, route in SOLVERS.items():
+        method, k = name.replace("<eps>", "0.5"), str(route.max_k or 2)
         calls.clear()
-        code, out, _ = run_cli(capsys, "solve", str(path), "--k", "2",
+        code, out, _ = run_cli(capsys, "solve", str(path), "--k", k,
                                "--method", method)
-        assert code == 0 and calls == [18]
+        assert (code, calls) == (0, [18]), method
         assert "n=18\nh=3\n" in out
         calls.clear()
-        code, _, _ = run_cli(capsys, "plot", str(path), "--k", "2",
+        code, _, _ = run_cli(capsys, "plot", str(path), "--k", k,
                              "--method", method,
                              "--out", str(tmp_path / "out.svg"))
-        assert code == 0 and calls == [18]
+        assert (code, calls) == (0, [18]), method
     code, out, _ = run_cli(capsys, "solve", str(path), "--k", "2")
     assert out.startswith("method=rows\n")
 
@@ -581,8 +590,8 @@ def test_solve_refuses_an_uncertified_radius(capsys, monkeypatch, tmp_path,
     path.write_text("0 30\n10 20\n13 11\n30 0\n5 5\n")
     run = getattr(cli, name)
 
-    def wrong(P, *args):
-        res = run(P, *args)
+    def wrong(S, *args):
+        res = run(S, *args)
         return SolveResult(radius(res.lambda_star_sq), res.centers,
                            res.algorithm)
 
@@ -608,15 +617,16 @@ def test_auto_reaches_the_rebound_route(monkeypatch):
     # the matrix or the parametric route.
     calls = []
     for name in ("solve_by_rows", "solve_via_matrix", "solve_parametric"):
-        def record(P, k, name=name, route=getattr(cli, name)):
+        def record(*args, name=name, route=getattr(cli, name)):
             calls.append(name)
-            return route(P, k)
+            return route(*args)
         monkeypatch.setattr(cli, name, record)
     for n in (1, 2, 16, 17, 200):
-        P = scaled_pointset(1.0, [(i, n - 1 - i, 0, 0) for i in range(n)])
+        S = slow_skyline(scaled_pointset(
+            1.0, [(i, n - 1 - i, 0, 0) for i in range(n)]))
         for k in {1, 2, n // 2 or 1, n - 1 or 1, n, n + 1}:
             calls.clear()
-            assert solver("auto", [k])[0](P, k).algorithm == "rows"
+            assert solver("auto", [k])[0](S, k).algorithm == "rows"
             assert calls == ["solve_by_rows"]
 
 
@@ -646,3 +656,54 @@ def test_readme_documents_every_option():
     named = set(re.findall(r"--[a-z][a-z-]*", section)) - {"--help"}
     assert options - named == set(), "options missing from README"
     assert named - options == set(), "README names options the CLI lacks"
+
+
+def grid_staircases(m: int):
+    """Every non-empty staircase on the m x m integer grid: t distinct x
+    paired in increasing order with t distinct y in decreasing order."""
+    for t in range(1, m + 1):
+        for xs in itertools.combinations(range(m), t):
+            for ys in itertools.combinations(range(m), t):
+                yield list(zip(xs, reversed(ys)))
+
+
+STAIRCASE_GRID = 5
+
+
+@pytest.mark.parametrize("scale", SCALE_VALUES)
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_every_grid_staircase_keeps_each_guarantee(name, scale):
+    # Deterministic coverage beside the random differentials: each of the
+    # 251 staircases on the 5 x 5 grid, with the same extra rows every
+    # time (a duplicate of its first point, its last point one ulp lower,
+    # and (-1, -1) twice), at every scale and every k from 1 to h + 1, as
+    # solve runs it: through solver() on the one skyline.
+    route = SOLVERS[name]
+    method = name.replace("<eps>", str(TABLE_EPS))
+    tried = 0
+    for stair in grid_staircases(STAIRCASE_GRID):
+        (a0, b0), (a1, b1) = stair[0], stair[-1]
+        raw = [(-1, -1, 0, 0), (a0, b0, 0, 0),
+               *[(a, b, 0, 0) for a, b in reversed(stair)],
+               (a1, b1, 0, 1), (-1, -1, 0, 0)]
+        P = scaled_pointset(scale, raw)
+        S = slow_skyline(P)
+        sky = brute_skyline(P)
+        assert S == sky and len(P) == len(stair) + 2
+        for k in range(1, (route.max_k or len(sky) + 1) + 1):
+            run, exact = solver(method, [k])
+            res = run(S, k)
+            lam_sq, centers = res.lambda_star_sq, res.centers
+            opt = brute_opt(P, k, "subsets")
+            assert len(centers) <= k and set(centers) <= set(sky.pts)
+            assert brute_psi_sq(sky, centers) <= lam_sq, (stair, k)
+            if exact:
+                assert lam_sq.hex() == opt.hex(), (stair, k)
+            else:
+                factor = {"factor 2": 2.0,
+                          "1+eps": 1.0 + TABLE_EPS}[route.guarantee]
+                assert opt <= lam_sq <= factor * factor * opt * (
+                    1 + FACTOR_SLACK), (stair, k)
+            _certify(S, k, res, exact)
+            tried += 1
+    assert tried == {"one-center": 251}.get(name, 881)

@@ -9,16 +9,18 @@ from hypothesis import example, given, settings, strategies as st
 from pareto_kcenter import exact
 from pareto_kcenter.cli import _digest, solver
 from pareto_kcenter.decision import decide_grouped, decide_materialized
-from pareto_kcenter.errors import (InternalInvariantViolation, NotFound,
-                                   RankOutOfRange)
+from pareto_kcenter.errors import (EmptyInput, InternalInvariantViolation,
+                                   NotFound, RankOutOfRange)
 from pareto_kcenter.exact import (SortedDistanceMatrix, matrix_select,
                                   multi_array_search, solve_by_rows,
                                   solve_parametric, solve_via_matrix)
-from pareto_kcenter.geom import PointSet, dist_sq
+from pareto_kcenter.geom import PointSet, SkylineArray, dist_sq
 from pareto_kcenter.grouped import build, next_relevant_point
 from pareto_kcenter.instances import InstanceSpec, generate
 from pareto_kcenter.instrument import counters
 from pareto_kcenter.skyline import slow_skyline
+from pareto_kcenter.smallk import (approx_solve, gonzalez_2approx,
+                                   solve_one_center)
 
 import search_reference
 from conftest import (RAW_POINTS, SCALES, SCALE_VALUES, STAIR3, STAIR4,
@@ -86,13 +88,13 @@ class TestMatrixSelect:
 
 class TestSolveViaMatrix:
     def test_staircase4(self):
-        res = solve_via_matrix(from_coords(STAIR4), 2)
+        res = solve_via_matrix(sky_of(STAIR4), 2)
         assert res.lambda_star_sq == 2.0
         assert res.lambda_star == math.sqrt(2.0)
 
     def test_k_at_least_h(self):
         P = from_coords(STAIR4)
-        res = solve_via_matrix(P, 4)
+        res = solve_via_matrix(slow_skyline(P), 4)
         assert res.lambda_star_sq == 0.0
         assert res.centers == slow_skyline(P).pts
 
@@ -103,7 +105,7 @@ class TestSolveViaMatrix:
         P = PointSet(np.array([(0.0, 0.0), (5e-324, -5e-324)]))
         assert len(slow_skyline(P)) == 2
         counters.reset()
-        a = solve_via_matrix(P, 2)
+        a = solve_via_matrix(slow_skyline(P), 2)
         assert counters.get("decide_calls") == 1
         b = solve_parametric(P, 2)
         assert a.lambda_star_sq == b.lambda_star_sq == 0.0
@@ -114,23 +116,23 @@ class TestSolveViaMatrix:
         for _ in range(60):
             P = random_pointset(rng, rng.randint(1, 70))
             k = rng.randint(1, 6)
-            res = solve_via_matrix(P, k)
+            res = solve_via_matrix(slow_skyline(P), k)
             assert res.lambda_star_sq == brute_opt(P, k)
             sky = brute_skyline(P)
             assert brute_psi_sq(sky, res.centers) == res.lambda_star_sq
 
     def test_empty_input_rejected(self):
-        from pareto_kcenter.errors import EmptyInput
-        for solver in (solve_via_matrix, solve_parametric):
-            with pytest.raises(EmptyInput):
-                solver(PointSet([]), 1)
+        with pytest.raises(EmptyInput):
+            solve_via_matrix(SkylineArray(), 1)
+        with pytest.raises(EmptyInput):
+            solve_parametric(PointSet([]), 1)
 
     def test_infeasible_final_radius_raises(self, monkeypatch):
         # A search answering 0 yields an infeasible selected radius.
         monkeypatch.setattr(exact, "multi_array_search",
                             lambda row_value, lo, hi, probe: 0.0)
         with pytest.raises(InternalInvariantViolation):
-            solve_via_matrix(from_coords(STAIR4), 2)
+            solve_via_matrix(sky_of(STAIR4), 2)
 
     def test_negative_and_mixed_sign_coordinates(self, rng):
         for _ in range(40):
@@ -139,7 +141,7 @@ class TestSolveViaMatrix:
                  for _ in range(rng.randint(1, 60))])
             k = rng.randint(1, 5)
             want = brute_opt(P, k)
-            assert solve_via_matrix(P, k).lambda_star_sq == want
+            assert solve_via_matrix(slow_skyline(P), k).lambda_star_sq == want
             assert solve_parametric(P, k).lambda_star_sq == want
 
     @pytest.mark.parametrize("coords", [
@@ -153,21 +155,21 @@ class TestSolveViaMatrix:
         P = from_coords(coords)
         for k in (1, 2, 3):
             want = brute_opt(P, k)
-            assert solve_via_matrix(P, k).lambda_star_sq == want
+            assert solve_via_matrix(slow_skyline(P), k).lambda_star_sq == want
             assert solve_parametric(P, k).lambda_star_sq == want
 
 
 class TestSolveByRows:
     def test_staircase4(self):
-        res = solve_by_rows(from_coords(STAIR4), 2)
+        res = solve_by_rows(sky_of(STAIR4), 2)
         assert (res.lambda_star_sq, res.algorithm) == (2.0, "rows")
-        assert res.centers == solve_via_matrix(from_coords(STAIR4), 2).centers
+        assert res.centers == solve_via_matrix(sky_of(STAIR4), 2).centers
 
     def test_k_at_least_h(self):
         P = from_coords(STAIR4)
         for k in (4, 5):
             counters.reset()
-            res = solve_by_rows(P, k)
+            res = solve_by_rows(slow_skyline(P), k)
             assert counters.get("decide_calls") == 1  # the certificate
             assert res.lambda_star_sq == 0.0
             assert res.centers == slow_skyline(P).pts
@@ -175,23 +177,22 @@ class TestSolveByRows:
     def test_squared_distance_underflow(self):
         # Two skyline points whose squared distance underflows to 0: one
         # center covers both, at k = 1 and at k >= h alike.
-        P = PointSet(np.array([(0.0, 0.0), (5e-324, -5e-324)]))
+        S = slow_skyline(PointSet(np.array([(0.0, 0.0), (5e-324, -5e-324)])))
         for k in (1, 2, 3):
-            res = solve_by_rows(P, k)
+            res = solve_by_rows(S, k)
             assert res.lambda_star_sq == 0.0 and len(res.centers) == 1
-            assert res.centers == solve_via_matrix(P, k).centers
+            assert res.centers == solve_via_matrix(S, k).centers
 
     def test_empty_input_rejected(self):
-        from pareto_kcenter.errors import EmptyInput
         with pytest.raises(EmptyInput):
-            solve_by_rows(PointSet([]), 1)
+            solve_by_rows(SkylineArray(), 1)
         with pytest.raises(ValueError):
-            solve_by_rows(from_coords(STAIR4), 0)
+            solve_by_rows(sky_of(STAIR4), 0)
 
     def test_infeasible_final_radius_raises(self, monkeypatch):
         monkeypatch.setattr(exact, "_row_greedy", lambda xs, ys, k, decide: 0.0)
         with pytest.raises(InternalInvariantViolation):
-            solve_by_rows(from_coords(STAIR4), 2)
+            solve_by_rows(sky_of(STAIR4), 2)
 
     def test_no_feasible_entry_raises(self):
         S = sky_of(STAIR4)
@@ -216,7 +217,7 @@ class TestSolveByRows:
 
             lam = exact._row_greedy(S.xs, S.ys, k, decide)
             assert lam == min(u for u, ok in seen if ok)
-            assert lam == solve_via_matrix(P, k).lambda_star_sq
+            assert lam == solve_via_matrix(S, k).lambda_star_sq
 
     def test_decision_calls_per_solve(self):
         # The row route's decisions, the certificate included, stay within
@@ -225,13 +226,14 @@ class TestSolveByRows:
         for P in (generate(InstanceSpec("staircase", 3000, seed=11)),
                   generate(InstanceSpec("circle-quadrant", 3000, seed=12)),
                   fixed_skyline_fill(300, 6000, seed=13)):
-            h = len(slow_skyline(P))
+            S = slow_skyline(P)
+            h = len(S)
             for k in (1, 2, 8, 64, h // 10, h // 2, h - 2, h - 1):
                 counters.reset()
-                res = solve_by_rows(P, k)
+                res = solve_by_rows(S, k)
                 calls = counters.get("decide_calls")
                 assert calls <= 4 * math.log2(h) + 4, (h, k, calls)
-                assert res.lambda_star_sq == solve_via_matrix(P, k).lambda_star_sq
+                assert res.lambda_star_sq == solve_via_matrix(S, k).lambda_star_sq
 
 
 def search_lists(arrays, probe):
@@ -304,21 +306,22 @@ class TestSolveParametric:
         # routes; each solver runs its own route at every k.
         for n in (16, 17):
             P = from_coords([(i, n - 1 - i) for i in range(n)])
-            res = solver("auto", [2])[0](P, 2)
+            S = slow_skyline(P)
+            res = solver("auto", [2])[0](S, 2)
             assert res.algorithm == "rows"
             assert len({_digest(r.centers, r.lambda_star_sq) for r in
-                        (res, solve_via_matrix(P, 2), solve_parametric(P, 2),
-                         solve_by_rows(P, 2))}) == 1
+                        (res, solve_via_matrix(S, 2), solve_parametric(P, 2),
+                         solve_by_rows(S, 2))}) == 1
             for k in range(1, n + 2):
                 assert solve_parametric(P, k).algorithm == "parametric"
-                assert solve_via_matrix(P, k).algorithm == "matrix"
-                assert solve_by_rows(P, k).algorithm == "rows"
+                assert solve_via_matrix(S, k).algorithm == "matrix"
+                assert solve_by_rows(S, k).algorithm == "rows"
 
     def test_agrees_with_matrix_and_oracle(self, rng):
         for _ in range(80):
             P = random_pointset(rng, rng.randint(1, 90))
             k = rng.randint(1, 6)
-            a = solve_via_matrix(P, k)
+            a = solve_via_matrix(slow_skyline(P), k)
             b = solve_parametric(P, k)
             assert a.lambda_star_sq == b.lambda_star_sq == brute_opt(P, k)
             sky = brute_skyline(P)
@@ -335,7 +338,7 @@ class TestSolveParametric:
             for k in (2, 3):
                 b = solve_parametric(P, k)
                 assert b.algorithm == "parametric"
-                a = solve_via_matrix(P, k)
+                a = solve_via_matrix(slow_skyline(P), k)
                 assert a.lambda_star_sq == b.lambda_star_sq
                 sky = brute_skyline(P)
                 assert brute_psi_sq(sky, b.centers) == b.lambda_star_sq
@@ -411,9 +414,10 @@ TIED_RAW = [(0, 3, 0, 0), (0, 2, 0, 0), (1, 3, 0, 0), (1, 3, 1, 0),
 def test_row_route_equals_oracle_for_every_k(scale, raw):
     # k runs from 1 through h - 1 and h to n + 1.
     P = scaled_pointset(scale, raw)
+    S = slow_skyline(P)
     for k in range(1, len(P) + 2):
-        res = solve_by_rows(P, k)
-        ref = solve_via_matrix(P, k)
+        res = solve_by_rows(S, k)
+        ref = solve_via_matrix(S, k)
         assert res.algorithm == "rows"
         assert res.lambda_star_sq.hex() == brute_opt(P, k).hex()
         assert res.lambda_star_sq.hex() == ref.lambda_star_sq.hex()
@@ -425,7 +429,7 @@ def test_row_route_equals_oracle_for_every_k(scale, raw):
 def test_solvers_and_deciders_agree_at_every_scale(scale, raw, k):
     P = scaled_pointset(scale, raw)
     want = brute_opt(P, k)
-    assert solve_via_matrix(P, k).lambda_star_sq == want
+    assert solve_via_matrix(slow_skyline(P), k).lambda_star_sq == want
     assert solve_parametric(P, k).lambda_star_sq == want
     sky = brute_skyline(P)
     radii = [want]
@@ -522,3 +526,15 @@ def test_lockstep_engine_equals_reference_with_tied_rows(scale):
         for thr in entries:
             new, old = both_engines(exact._suffix_rows(G, p), ref_rows, thr)
             assert new == old
+
+
+@pytest.mark.parametrize("route", [
+    lambda S: solve_by_rows(S, 2), lambda S: solve_via_matrix(S, 2),
+    solve_one_center, lambda S: gonzalez_2approx(S, 2),
+    lambda S: approx_solve(S, 2, 0.1)],
+    ids=["rows", "matrix", "one-center", "gonzalez", "approx"])
+def test_routes_refuse_an_empty_staircase(route):
+    # Each route takes the staircase and refuses an empty one, as it
+    # refused an empty point set when it built the staircase itself.
+    with pytest.raises(EmptyInput):
+        route(SkylineArray())

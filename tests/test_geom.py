@@ -99,15 +99,15 @@ class TestPointSet:
 
         monkeypatch.setattr(PointSet, "points", property(refuse))
         monkeypatch.setattr(SkylineArray, "pts", property(refuse))
-        slow_skyline(P)
+        S = slow_skyline(P)
         build(P, 7)
-        solve_one_center(P)
+        solve_one_center(S)
         for k in (1, 2, 5):
-            solve_by_rows(P, k)
-            solve_via_matrix(P, k)
+            solve_by_rows(S, k)
+            solve_via_matrix(S, k)
             solve_parametric(P, k)
-            gonzalez_2approx(P, k)
-            approx_solve(P, k, 0.1)
+            gonzalez_2approx(S, k)
+            approx_solve(S, k, 0.1)
 
 
 def assert_order_is_lexsort(rows):

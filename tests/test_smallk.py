@@ -12,6 +12,7 @@ from pareto_kcenter.exact import (SolveResult, solve_parametric,
                                   solve_via_matrix)
 from pareto_kcenter.geom import Point, PointSet, SkylineArray, dist_sq
 from pareto_kcenter.instrument import counters
+from pareto_kcenter.skyline import slow_skyline
 from pareto_kcenter.smallk import (approx_solve, bisector_extremes,
                                    gonzalez_2approx, solve_one_center)
 
@@ -91,12 +92,12 @@ class TestBisectorExtremes:
 class TestSolveOneCenter:
     def test_known_instance(self):
         P = from_coords([(0, 3), (1, 2), (3, 0), (0, 0), (1, 1)])
-        res = solve_one_center(P)
+        res = solve_one_center(slow_skyline(P))
         assert res.centers == (Point(1, 2),)
         assert res.lambda_star_sq == 8.0
 
     def test_single_point(self):
-        res = solve_one_center(from_coords([(4, 4)]))
+        res = solve_one_center(slow_skyline(from_coords([(4, 4)])))
         assert res.lambda_star_sq == 0.0
 
     def test_extremes_whose_distance_underflows(self):
@@ -104,16 +105,18 @@ class TestSolveOneCenter:
         # so the bisector scan has no point right of the bisector.
         p, q = Point(0.0, 0.0), Point(5e-324, -5e-324)
         assert dist_sq(p, q) == 0.0
-        res = solve_one_center(PointSet([p, q]))
+        S = slow_skyline(PointSet([p, q]))
+        res = solve_one_center(S)
         assert (res.lambda_star_sq, res.centers) == (0.0, (p,))
-        res = gonzalez_2approx(PointSet([p, q]), 2)
+        res = gonzalez_2approx(S, 2)
         assert (res.centers, res.lambda_star_sq) == ((p,), 0.0)
 
     def test_matches_exact_solvers(self, rng):
         for _ in range(120):
             P = random_pointset(rng, rng.randint(1, 70))
-            res = solve_one_center(P)
-            assert res.lambda_star_sq == solve_via_matrix(P, 1).lambda_star_sq
+            S = slow_skyline(P)
+            res = solve_one_center(S)
+            assert res.lambda_star_sq == solve_via_matrix(S, 1).lambda_star_sq
             assert res.lambda_star_sq == solve_parametric(P, 1).lambda_star_sq
 
     @pytest.mark.parametrize("scale", SCALE_VALUES)
@@ -123,7 +126,7 @@ class TestSolveOneCenter:
     @example(raw=ON_BISECTOR_RAW)
     def test_matches_oracle_at_every_scale(self, scale, raw):
         P = scaled_pointset(scale, raw)
-        res = solve_one_center(P)
+        res = solve_one_center(slow_skyline(P))
         sky = brute_skyline(P)
         assert res.centers[0] in sky.pts
         assert res.lambda_star_sq.hex() == brute_opt(P, 1).hex()
@@ -134,18 +137,18 @@ class TestSolveOneCenter:
             n = rng.randint(16, 200)
             P = random_pointset(rng, n, coord=500)
             counters.reset()
-            solve_one_center(P)
+            solve_one_center(slow_skyline(P))
             assert counters.get("dist_evals") <= 3 * len(P)
 
 
 class TestGonzalez:
     def test_spec_trace_on_staircase5(self):
-        res = gonzalez_2approx(from_coords(STAIR5), 3)
+        res = gonzalez_2approx(slow_skyline(from_coords(STAIR5)), 3)
         assert [(c.x, c.y) for c in res.centers] == [(0, 4), (4, 0), (2, 2)]
         assert res.lambda_star_sq == 2.0
 
     def test_k_at_least_h_reaches_zero(self):
-        res = gonzalez_2approx(from_coords(STAIR4), 9)
+        res = gonzalez_2approx(slow_skyline(from_coords(STAIR4)), 9)
         assert res.lambda_star_sq == 0.0
         assert len(res.centers) == 4
 
@@ -153,7 +156,7 @@ class TestGonzalez:
         for _ in range(120):
             P = random_pointset(rng, rng.randint(1, 70))
             k = rng.randint(1, 7)
-            res = gonzalez_2approx(P, k)
+            res = gonzalez_2approx(slow_skyline(P), k)
             sky = brute_skyline(P)
             assert len(res.centers) <= k
             assert all(c in sky.pts for c in res.centers)
@@ -163,7 +166,8 @@ class TestGonzalez:
     def test_monotone_improvement_in_k(self, rng):
         for _ in range(40):
             P = random_pointset(rng, rng.randint(2, 50))
-            values = [gonzalez_2approx(P, k).lambda_star_sq
+            S = slow_skyline(P)
+            values = [gonzalez_2approx(S, k).lambda_star_sq
                       for k in range(2, 7)]
             assert values == sorted(values, reverse=True)
 
@@ -173,7 +177,7 @@ class TestGonzalez:
         for _ in range(60):
             P = random_pointset(rng, rng.randint(2, 60))
             k = rng.randint(2, 8)
-            centers = gonzalez_2approx(P, k).centers
+            centers = gonzalez_2approx(slow_skyline(P), k).centers
             assert list(centers) == farthest_first(brute_skyline(P), k)
 
     @pytest.mark.parametrize("scale", SCALE_VALUES)
@@ -186,8 +190,9 @@ class TestGonzalez:
         # may break either way: each center must be a farthest point.
         P = scaled_pointset(scale, raw)
         sky = brute_skyline(P)
+        S = slow_skyline(P)
         for k in range(2, 7):
-            res = gonzalez_2approx(P, k)
+            res = gonzalez_2approx(S, k)
             centers = list(res.centers)
             seeds = farthest_first(sky, 2)
             assert len(centers) <= k and centers[:2] == seeds
@@ -223,20 +228,20 @@ def farthest_first(sky, k):
 
 class TestApproxSolve:
     def test_epsilon_validation(self):
-        P = from_coords(STAIR4)
+        S = slow_skyline(from_coords(STAIR4))
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(InvalidEpsilon):
-                approx_solve(P, 2, bad)
+                approx_solve(S, 2, bad)
 
     def test_exact_when_gonzalez_is_exact(self):
         P = from_coords([(0, 1), (1, 0)])
-        res = approx_solve(P, 2, 0.5)
+        res = approx_solve(slow_skyline(P), 2, 0.5)
         assert res.lambda_star_sq == 0.0
 
     def test_staircase5_tight(self):
         P = from_coords(STAIR5)
         opt = brute_opt(P, 2)  # exhaustive over all center pairs
-        res = approx_solve(P, 2, 0.1)
+        res = approx_solve(slow_skyline(P), 2, 0.1)
         assert res.lambda_star_sq <= 1.21 * opt
 
     def test_quality_bound(self, rng):
@@ -245,8 +250,9 @@ class TestApproxSolve:
             k = rng.randint(1, 5)
             opt = brute_opt(P, k)
             sky = brute_skyline(P)
+            S = slow_skyline(P)
             for eps in (0.5, 0.1, 0.01):
-                res = approx_solve(P, k, eps)
+                res = approx_solve(S, k, eps)
                 assert len(res.centers) <= k
                 assert brute_psi_sq(sky, res.centers) <= res.lambda_star_sq
                 assert res.lambda_star_sq <= (1.0 + eps) ** 2 * opt
@@ -256,7 +262,7 @@ class TestApproxSolve:
             P = random_pointset(rng, 120)
             k = 3
             counters.reset()
-            approx_solve(P, k, eps)
+            approx_solve(slow_skyline(P), k, eps)
             budget = math.ceil(math.log2(2.0 / eps)) + 2
             # decide calls made by the grid search plus the final rerun;
             # gonzalez makes none
@@ -267,7 +273,7 @@ class TestApproxSolve:
         P = from_coords([(i, 199 - i) for i in range(200)])
         tracemalloc.start()
         try:
-            res = approx_solve(P, 3, 1e-5)
+            res = approx_solve(slow_skyline(P), 3, 1e-5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -278,7 +284,7 @@ class TestApproxSolve:
     def test_infeasible_final_radius_raises(self, monkeypatch):
         # A bracket far below the optimum leaves no feasible grid radius.
         monkeypatch.setattr(smallk, "gonzalez_2approx",
-                            lambda P, k: SolveResult(0.01, (Point(0, 4),),
+                            lambda S, k: SolveResult(0.01, (Point(0, 4),),
                                                      "gonzalez"))
         with pytest.raises(InternalInvariantViolation):
-            approx_solve(from_coords(STAIR5), 2, 0.5)
+            approx_solve(slow_skyline(from_coords(STAIR5)), 2, 0.5)
