@@ -343,8 +343,9 @@ def cmd_bench(args) -> int:
     cols = ["gen", "n", "h", "k", "method", "ms", *BENCH_COUNTERS,
             "t_ratio", "c_ratio", "digest"]
     print("\t".join(cols))
-    lead_counter = ("binary_search_probes" if "decide" in args.method
-                    else "skyline_comparisons")
+    lead_counter = {"decide-materialized": "dist_evals",
+                    "decide-grouped": "binary_search_probes"}.get(
+                        args.method, "skyline_comparisons")
     prev: dict[int, tuple[float, int, int]] = {}  # k -> last (secs, lead, n)
     for k in ks:
         for n in ns:

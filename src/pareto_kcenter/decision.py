@@ -30,12 +30,14 @@ INCOMPLETE = DecisionOutcome(False)
 COVERED = DecisionOutcome(True)  # a verdict alone, with no centers
 
 
-def _reach(xs: list, ys: list, a: int, lambda_sq: float) -> tuple[int, int]:
+def _reach(xs: list, ys: list, a: int, radius: float) -> tuple[int, int]:
     """Last index e >= a with (xs[e], ys[e]) within the radius of point a,
     and the distances computed to find it.  Distances from a grow along
     the staircase to its right (rounding is monotone), so the points in
     reach are a prefix: steps to a + 1, a + 3, a + 7, ... bracket its end
-    and a bisection of the bracket finds it, O(log(e - a)) distances."""
+    and a bisection of the bracket finds it, O(log(e - a)) distances.
+    radius is only compared as ``d <= radius``, so the row route can pass
+    an object that answers that compare (exact._BelowOptimum)."""
     ax, ay = xs[a], ys[a]
     lo, hi, gallop, evals = a, len(xs), True, 0  # within at lo, not at hi
     while hi - lo > 1:
@@ -46,11 +48,26 @@ def _reach(xs: list, ys: list, a: int, lambda_sq: float) -> tuple[int, int]:
         evals += 1
         dx = ax - xs[j]  # as dist_sq(S[a], S[j])
         dy = ay - ys[j]
-        if dx * dx + dy * dy <= lambda_sq:
+        if dx * dx + dy * dy <= radius:
             lo = j
         else:
             hi, gallop = j, False
     return lo, evals
+
+
+def _greedy(xs: list, ys: list, k: int, radius: float) -> tuple[list, int, int]:
+    """Up to k greedy clusters from the left of the staircase (xs, ys), as
+    (leftmost, center, rightmost) indices, the first index they leave
+    uncovered (len(xs) if none) and the distances computed."""
+    h, evals, i = len(xs), 0, 0
+    ends: list[tuple[int, int, int]] = []
+    while i < h and len(ends) < k:
+        ca, e_c = _reach(xs, ys, i, radius)
+        ra, e_r = _reach(xs, ys, ca, radius)
+        evals += e_c + e_r
+        ends.append((i, ca, ra))
+        i = ra + 1
+    return ends, i, evals
 
 
 def check_input(S: SkylineArray, k: int) -> None:
@@ -72,18 +89,9 @@ def decide_materialized(S: SkylineArray, k: int, lambda_sq: float,
         raise ValueError("lambda_sq must be >= 0")
     counters.add("decide_calls")
     xs, ys = S.xs, S.ys
-    h = len(xs)
-    evals = 0
-    ends: list[tuple[int, int, int]] = []  # (leftmost, center, rightmost)
-    i = 0
-    while i < h and len(ends) < k:
-        ca, e_c = _reach(xs, ys, i, lambda_sq)
-        ra, e_r = _reach(xs, ys, ca, lambda_sq)
-        evals += e_c + e_r
-        ends.append((i, ca, ra))
-        i = ra + 1
+    ends, i, evals = _greedy(xs, ys, k, lambda_sq)
     counters.add("dist_evals", evals)
-    if i < h:
+    if i < len(xs):
         return INCOMPLETE
     if verdict_only:
         return COVERED

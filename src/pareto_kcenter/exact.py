@@ -5,10 +5,10 @@ final decision that also picks the centers.  The row and matrix routes
 take the staircase S = sky(P), built once by the caller; the parametric
 search takes the points P:
 
-* row route: run the materialized greedy at the unknown optimum, one
-  staircase row per step.  Each step bisects the row of distances from
-  its point for the first one the decision finds feasible; decisions
-  are memoized as a bracket of values, so most probes cost none.
+* row route: run the decision's own greedy (decision._greedy) at a
+  radius that stands just below the unknown optimum: it settles each
+  distance the greedy compares with a decision, memoized as a bracket
+  of values, so most compares cost none.
 * matrix route: the h-1 rows d(S[r], S[j > r]) of the sorted distance
   matrix over the skyline's columns, searched by multi_array_search
   with the materialized decision;
@@ -43,7 +43,7 @@ from .errors import InternalInvariantViolation, NotFound, RankOutOfRange
 from .geom import Point, PointSet, Record, SkylineArray, dist_sq
 from .grouped import (GroupedSkyline, build, first_false, next_on_skyline,
                       next_relevant_point)
-from .decision import check_input, decide_grouped, decide_materialized
+from .decision import _greedy, check_input, decide_grouped, decide_materialized
 from .instrument import counters
 
 
@@ -57,6 +57,16 @@ class SolveResult(Record):
     @property
     def lambda_star(self) -> float:
         return math.sqrt(self.lambda_star_sq)
+
+
+def _certified(S: SkylineArray, k: int, lam_sq: float,
+               tag: str) -> SolveResult:
+    """The final decision at the radius a search on S selected: it
+    certifies the radius and picks the centers."""
+    out = decide_materialized(S, k, lam_sq)
+    if not out.feasible:
+        raise InternalInvariantViolation(f"{tag}: radius is not feasible")
+    return SolveResult(lam_sq, out.centers, tag)
 
 
 class SortedDistanceMatrix:
@@ -223,82 +233,66 @@ def solve_via_matrix(S: SkylineArray, k: int) -> SolveResult:
             *_matrix_rows(S),
             lambda v: decide_materialized(S, k, v, verdict_only=True).feasible)
         lam += 0.0  # normalizes -0.0
-    out = decide_materialized(S, k, lam)
-    if not out.feasible:
-        raise InternalInvariantViolation("selected radius is not feasible")
-    return SolveResult(lam, out.centers, "matrix")
+    return _certified(S, k, lam, "matrix")
+
+
+class _BelowOptimum:
+    """A radius just below the unknown optimum lam* of the greedy on a
+    staircase, for decision._greedy: ``d <= radius`` holds exactly when
+    decide finds d infeasible.
+
+    Row a holds d(a, j), j > a, nondecreasing in j.  An entry is below
+    lam* exactly when decide finds it infeasible, so the last entry
+    before row a's first feasible one is the greedy's reach from a at
+    every radius just below lam*: that greedy cannot cover the staircase
+    with k clusters.  At its first step that differs from the greedy at
+    lam* (one of its first 2k), the first feasible entry of the row is
+    lam* itself.  Every value compared is memoized in a bracket, the
+    largest infeasible and the smallest feasible value seen, so lam* is
+    the bracket's feasible end, ``above``.
+    """
+
+    __slots__ = ("decide", "below", "above")
+
+    def __init__(self, decide: Callable[[float], bool]):
+        self.decide = decide
+        self.below, self.above = -math.inf, math.inf
+
+    def __ge__(self, d: float) -> bool:  # d <= self, reflected
+        if d <= self.below:
+            return True
+        if d >= self.above:
+            return False
+        if self.decide(d):
+            self.above = d
+            return False
+        self.below = d
+        return True
 
 
 def _row_greedy(xs: list, ys: list, k: int,
                 decide: Callable[[float], bool]) -> float:
     """The smallest pairwise distance of the staircase (xs, ys) that
-    decide finds feasible, from the greedy at the unknown optimum lam*.
-
-    Row a holds d(a, j), j > a, nondecreasing in j.  An entry is below
-    lam* exactly when decide finds it infeasible, so the last entry
-    before row a's first feasible one is the greedy's reach from a at
-    every radius just below lam*: stepping there runs that greedy, which
-    cannot cover the staircase with k clusters.  At its first step that
-    differs from the greedy at lam* (one of its first 2k), the first
-    feasible entry of the row is lam* itself.  Every value probed is
-    memoized in a bracket, the largest infeasible and the smallest
-    feasible value seen, so lam* is the bracket's feasible end.
-    """
-    h = len(xs)
-    below, above = -math.inf, math.inf
-
-    def feasible(v: float) -> bool:
-        nonlocal below, above
-        if v <= below:
-            return False
-        if v >= above:
-            return True
-        if decide(v):
-            above = v
-            return True
-        below = v
-        return False
-
-    def step(a: int) -> int:
-        # Gallop a + 1, a + 3, a + 7, ... then bisect, as decision._reach.
-        ax, ay = xs[a], ys[a]
-        lo, hi, gallop = a, h, True  # infeasible at lo (or lo == a), not hi
-        while hi - lo > 1:
-            j = 2 * lo - a + 1 if gallop else (lo + hi) // 2
-            if j >= hi:
-                gallop = False
-                continue
-            dx = ax - xs[j]  # as dist_sq(S[a], S[j])
-            dy = ay - ys[j]
-            if feasible(dx * dx + dy * dy):
-                hi, gallop = j, False
-            else:
-                lo = j
-        return lo
-
-    i = 0
-    for _ in range(k):
-        i = step(step(i)) + 1
-        if i >= h:
-            break
-    if above == math.inf:
+    decide finds feasible: the decision's greedy run at a radius just
+    below it (_BelowOptimum), which settles each distance it compares
+    with decide."""
+    radius = _BelowOptimum(decide)
+    _greedy(xs, ys, k, radius)
+    if radius.above == math.inf:
         raise InternalInvariantViolation("no feasible candidate observed")
-    return above
+    return radius.above
 
 
 def solve_by_rows(S: SkylineArray, k: int) -> SolveResult:
-    """The materialized greedy at the unknown optimum, one row of the
-    staircase S per step (_row_greedy), for k < h; 0 for k >= h.  A
-    final decision certifies the value and picks the centers."""
+    """The materialized greedy just below the unknown optimum
+    (_row_greedy), for k < h; 0 for k >= h.  A final decision certifies
+    the value and picks the centers."""
     check_input(S, k)
     lam = 0.0
     if k < len(S):
         lam = _row_greedy(S.xs, S.ys, k, lambda v: decide_materialized(
             S, k, v, verdict_only=True).feasible)
-    out = decide_materialized(S, k, lam)
-    if not out.feasible:
-        raise InternalInvariantViolation("selected radius is not feasible")
-    return SolveResult(lam, out.centers, "rows")
+    return _certified(S, k, lam, "rows")
 
 
 def _suffix_rows(G: GroupedSkyline, p: Point):

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 
 from .decision import check_input, decide_materialized
-from .errors import DegenerateSpan, InternalInvariantViolation, InvalidEpsilon
-from .exact import SolveResult
+from .errors import DegenerateSpan, InvalidEpsilon
+from .exact import SolveResult, _certified
 from .geom import Point, SkylineArray
 from .instrument import counters
 
@@ -142,8 +142,4 @@ def approx_solve(S: SkylineArray, k: int, eps: float) -> SolveResult:
             hi = mid
         else:
             lo = mid + 1
-    lam_sq = grid_sq(lo)
-    out = decide_materialized(S, k, lam_sq)
-    if not out.feasible:
-        raise InternalInvariantViolation("selected grid radius is not feasible")
-    return SolveResult(lam_sq, out.centers, tag)
+    return _certified(S, k, grid_sq(lo), tag)

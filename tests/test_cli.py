@@ -338,6 +338,19 @@ class TestBenchCommand:
         assert code == 0
         assert "decide-grouped" in out
 
+    def test_decide_materialized_sweep_has_a_counter_ratio(self, capsys):
+        # The materialized decision counts distances and no binary-search
+        # probes, so its lead counter is dist_evals.
+        code, out, _ = run_cli(capsys, "bench", "--generator", "staircase",
+                               "--n", "256,512", "--k", "4", "--method",
+                               "decide-materialized", "--seed", "5")
+        assert code == 0
+        header, row256, row512 = (line.split("\t")
+                                  for line in out.strip().splitlines())
+        evals = header.index("dist_evals")
+        ratio = int(row512[evals]) / int(row256[evals])
+        assert row512[header.index("c_ratio")] == f"{ratio:.2f}"
+
     def test_every_method_runs(self, capsys):
         digests = {}
         for method in ("skyline-sort", "skyline-optimal",

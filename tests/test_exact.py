@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from pareto_kcenter import exact
 from pareto_kcenter.cli import _digest, solver
-from pareto_kcenter.decision import decide_grouped, decide_materialized
+from pareto_kcenter.decision import (_greedy, decide_grouped,
+                                    decide_materialized)
 from pareto_kcenter.errors import (EmptyInput, InternalInvariantViolation,
                                    NotFound, RankOutOfRange)
 from pareto_kcenter.exact import (SortedDistanceMatrix, matrix_select,
@@ -27,6 +28,7 @@ from conftest import (RAW_POINTS, SCALES, SCALE_VALUES, STAIR3, STAIR4,
                       fixed_skyline_fill, from_coords, random_pointset,
                       scaled_pointset)
 from oracle import brute_opt, brute_psi_sq, brute_skyline
+from test_cli import grid_staircases
 
 
 def sky_of(coords):
@@ -218,6 +220,42 @@ class TestSolveByRows:
             lam = exact._row_greedy(S.xs, S.ys, k, decide)
             assert lam == min(u for u, ok in seen if ok)
             assert lam == solve_via_matrix(S, k).lambda_star_sq
+
+    @pytest.mark.parametrize("scale", SCALE_VALUES)
+    def test_greedy_at_the_radius_object_is_the_greedy_below_the_optimum(
+            self, scale, monkeypatch):
+        # After _row_greedy returns lam*, its radius object answers every
+        # compare as the float just below lam* does: the decision's greedy
+        # at either gives the same clusters, uncovered index and distance
+        # count.  No value is decided twice, so the rerun is all memoized.
+        # At 1e-170 every squared distance underflows to lam* = 0, and the
+        # float below it is -5e-324, which nextafter(lam, 0) would not give.
+        radii = []
+
+        def greedy(xs, ys, k, radius):
+            radii.append(radius)
+            return _greedy(xs, ys, k, radius)
+
+        monkeypatch.setattr(exact, "_greedy", greedy)
+        tried = 0
+        for stair in grid_staircases(5):
+            S = slow_skyline(scaled_pointset(
+                scale, [(a, b, 0, 0) for a, b in stair]))
+            for k in range(1, len(S)):
+                decided = []
+
+                def decide(v):
+                    assert v not in decided
+                    decided.append(v)
+                    return decide_materialized(S, k, v,
+                                               verdict_only=True).feasible
+
+                lam = exact._row_greedy(S.xs, S.ys, k, decide)
+                below = _greedy(S.xs, S.ys, k, math.nextafter(lam, -math.inf))
+                assert _greedy(S.xs, S.ys, k, radii[-1]) == below
+                assert below[1] < len(S)
+                tried += 1
+        assert tried == 379
 
     def test_decision_calls_per_solve(self):
         # The row route's decisions, the certificate included, stay within
